@@ -1,7 +1,8 @@
 """Micro-benchmarks: discrete-event scheduler throughput.
 
 Measures how fast the SLURM-like simulator drains a batch — relevant
-because the dataset campaigns push thousands of jobs through it.
+because the dataset campaigns push thousands of jobs through it.  The
+3,246-job case is the paper's Performance campaign itself.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.cluster import (
     SlurmSimulator,
     wisconsin_cluster,
 )
+from repro.datasets import PERFORMANCE_N_JOBS, generate_performance_dataset
 
 
 class _QuickExec:
@@ -58,3 +60,13 @@ def test_scheduler_with_power_tracing(benchmark):
 
     records = benchmark(run)
     assert sum(1 for r in records if r.energy_joules is not None) > 80
+
+
+def test_performance_campaign_3246_jobs(benchmark):
+    """The full Performance campaign: 3,246 model-executed jobs, FIFO + backfill."""
+    dataset = benchmark.pedantic(
+        generate_performance_dataset, args=(1,), rounds=3, iterations=1
+    )
+    assert len(dataset) == PERFORMANCE_N_JOBS == 3246
+    makespan_h = max(r.end_time for r in dataset.records) / 3600.0
+    assert abs(makespan_h - 5.07056) < 1e-5

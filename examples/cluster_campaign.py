@@ -3,7 +3,7 @@
 
 Shows the data-collection pipeline of the paper's Section IV end to end:
 define a batch of HPGMG-FE job specs, submit them to the SLURM-like
-scheduler (4 Wisconsin nodes, FIFO + EASY backfill), sample IPMI power
+scheduler (4 Wisconsin nodes, FIFO + backfill), sample IPMI power
 traces during execution, integrate energies, and print the resulting
 46-attribute accounting records and campaign statistics.
 

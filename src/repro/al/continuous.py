@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..gp.gpr import GaussianProcessRegressor
 
@@ -59,6 +58,8 @@ def _maximize(
     n_starts: int,
     rng,
 ) -> AcquisitionResult:
+    from scipy.optimize import minimize  # deferred: costly, rarely needed
+
     bounds = _check_bounds(bounds)
     if not model.fitted:
         raise RuntimeError("model is not fitted")

@@ -37,9 +37,12 @@ class JobSpec:
             raise ValueError("repeat_index must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
-    """One completed job with full SLURM-style accounting (46 attributes)."""
+    """One completed job with full SLURM-style accounting (46 attributes).
+
+    Slotted: a campaign holds thousands of records and never extends them.
+    """
 
     # --- identity & controlled variables (6)
     job_id: int

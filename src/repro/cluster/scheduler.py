@@ -3,7 +3,7 @@
 The paper organized HPGMG-FE jobs "into batches and submitted [them] to the
 job queue, after which SLURM managed their execution on the available
 nodes".  This module reproduces that pipeline: a 4-node cluster, a FIFO
-queue with EASY backfill, whole-node allocation (one MPI rank per core, as
+queue with backfill, whole-node allocation (one MPI rank per core, as
 HPC schedulers do for exclusive jobs), per-node IPMI power sampling during
 execution, and a full 46-attribute accounting record per job.
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
@@ -65,15 +66,17 @@ class Executor(Protocol):
         ...
 
 
-@dataclass
+@dataclass(eq=False)
 class _QueuedJob:
     job_id: int
     spec: JobSpec
     submit_time: float
     n_nodes: int
+    #: the executor's runtime estimate, asked for on first use only
+    runtime_estimate: Optional[float] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class _RunningJob:
     queued: _QueuedJob
     start_time: float
@@ -83,7 +86,7 @@ class _RunningJob:
 
 
 class SlurmSimulator:
-    """FIFO + EASY-backfill scheduler over a homogeneous cluster.
+    """FIFO + backfill scheduler over a homogeneous cluster.
 
     Parameters
     ----------
@@ -152,8 +155,13 @@ class SlurmSimulator:
     ) -> list[JobRecord]:
         """Submit ``specs`` in order and simulate until the queue drains.
 
-        Returns one :class:`JobRecord` per spec, in completion order.
+        Job ``i`` is submitted at ``i * submit_spacing_s``.  Returns one
+        :class:`JobRecord` per spec, in completion order.
         """
+        if not (math.isfinite(submit_spacing_s) and submit_spacing_s >= 0):
+            raise ValueError(
+                f"submit_spacing_s must be finite and >= 0, got {submit_spacing_s!r}"
+            )
         free_nodes = set(range(self.cluster.n_nodes))
         queue: list[_QueuedJob] = []
         running: list[_RunningJob] = []
@@ -173,6 +181,15 @@ class SlurmSimulator:
                     n_nodes=n_nodes,
                 )
             )
+        # Submit times never decrease along the queue, so from the last
+        # submission on every queued job is eligible.
+        last_submit = queue[-1].submit_time if queue else 0.0
+
+        def estimate(qjob: _QueuedJob) -> float:
+            """The executor's runtime estimate, asked for once per job."""
+            if qjob.runtime_estimate is None:
+                qjob.runtime_estimate = self.executor.estimate(qjob.spec)
+            return qjob.runtime_estimate
 
         def usable_free(t: float) -> list[int]:
             """Free nodes the breaker (if any) lets a job start on at ``t``."""
@@ -204,21 +221,28 @@ class SlurmSimulator:
             heapq.heappush(heap, (rjob.end_time, next(tiebreak), rjob))
 
         def schedule(t: float) -> None:
-            """Queue head first; EASY backfill for the rest.
+            """Queue head first; backfill for the rest.
 
             Under ``fifo`` the head is the oldest submission; under ``sjf``
             (shortest job first) eligible jobs are ordered by estimated
             runtime, a classical makespan-reducing policy for throughput
-            campaigns.
+            campaigns.  A blocked head gets a reservation at its shadow
+            time (when enough running jobs will have finished); a later job
+            is backfilled only if its estimated runtime ends by then.
+            Unlike full EASY backfill, a job that would outlast the shadow
+            time is never started on nodes the head will not need.
             """
-            while True:
-                eligible = [q for q in queue if q.submit_time <= t]
-                if not eligible:
-                    return
+            while queue:
+                if t >= last_submit:
+                    eligible = queue
+                else:
+                    eligible = [q for q in queue if q.submit_time <= t]
+                    if not eligible:
+                        return
                 if self.policy == "sjf":
-                    eligible.sort(
-                        key=lambda q: (self.executor.estimate(q.spec), q.job_id)
-                    )
+                    # A total order, so sorting the queue itself in place
+                    # gives the same head and candidates as sorting a copy.
+                    eligible.sort(key=lambda q: (estimate(q), q.job_id))
                 n_usable = len(usable_free(t))
                 head = eligible[0]
                 if head.n_nodes <= n_usable:
@@ -234,19 +258,14 @@ class SlurmSimulator:
                     if avail >= head.n_nodes:
                         shadow = end_time
                         break
-                started_any = False
-                for q in eligible[1:]:
+                for q in itertools.islice(eligible, 1, None):
                     if q.n_nodes > n_usable:
                         continue
-                    est = min(
-                        self.executor.estimate(q.spec), self.time_limit_seconds
-                    )
-                    if t + est <= shadow or q.n_nodes <= n_usable - head.n_nodes:
+                    if t + min(estimate(q), self.time_limit_seconds) <= shadow:
                         queue.remove(q)
                         start_job(q, t)
-                        started_any = True
                         break  # re-evaluate shadow with updated state
-                if not started_any:
+                else:
                     return
 
         # Prime with any jobs submitted at t=0 and iterate completions.

@@ -83,6 +83,20 @@ class ModelExecutor:
         )
 
 
+def _expected_runtimes(
+    runtime_model: RuntimeModel, configs: list[tuple[str, int, int, float]]
+) -> list[float]:
+    """Noise-free runtime of each ``(op, size, np, freq)``, one call per operator."""
+    out = np.empty(len(configs))
+    rows_by_op: dict[str, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        rows_by_op.setdefault(cfg[0], []).append(i)
+    for op, rows in rows_by_op.items():
+        size, np_ranks, freq = zip(*(configs[i][1:] for i in rows))
+        out[rows] = runtime_model.runtime(op, size, np_ranks, freq)
+    return out.tolist()
+
+
 def feasible_configurations(
     runtime_model: RuntimeModel | None = None,
     rule: FeasibilityRule | None = None,
@@ -90,12 +104,9 @@ def feasible_configurations(
     """Table I grid filtered by memory and time-limit feasibility."""
     runtime_model = runtime_model or RuntimeModel()
     rule = rule or FeasibilityRule()
-    configs = []
-    for op, size, np_ranks, freq in full_factorial():
-        expected = float(runtime_model.runtime(op, size, np_ranks, freq))
-        if rule.feasible(size, np_ranks, expected):
-            configs.append((op, size, np_ranks, freq))
-    return configs
+    grid = full_factorial()
+    expected = _expected_runtimes(runtime_model, grid)
+    return [cfg for cfg, t in zip(grid, expected) if rule.feasible(cfg[1], cfg[2], t)]
 
 
 #: The densely-sampled slice of the real campaign: the paper's AL evaluation
@@ -248,10 +259,11 @@ def generate_power_dataset(
     rng = np.random.default_rng(seed + 1)
 
     rule = FeasibilityRule()
+    configs = feasible_configurations(runtime_model, rule)
     long_configs = [
-        (op, size, np_ranks, freq)
-        for (op, size, np_ranks, freq) in feasible_configurations(runtime_model, rule)
-        if float(runtime_model.runtime(op, size, np_ranks, freq)) >= min_runtime_s
+        cfg
+        for cfg, t in zip(configs, _expected_runtimes(runtime_model, configs))
+        if t >= min_runtime_s
     ]
     if not long_configs:
         raise RuntimeError("no configurations satisfy the power-campaign runtime floor")

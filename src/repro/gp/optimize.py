@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .. import telemetry as tm
 
@@ -107,6 +106,8 @@ class _StartTask:
         self.bounds = bounds
 
     def __call__(self, indexed_start) -> tuple[np.ndarray, float, str]:
+        from scipy.optimize import minimize  # deferred: only fits need it
+
         index, start = indexed_start
         with tm.span("restart", index=index) as sp:
             result = minimize(

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ..datasets.dataset import PerfDataset
 from .runtime import RuntimeModel
@@ -87,6 +86,8 @@ def calibrate_runtime_model(
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
+    from scipy.optimize import least_squares  # deferred: costly, rarely needed
+
     base = base or RuntimeModel()
     records = [r for r in dataset.records if r.runtime_seconds > 0]
     if not records:

@@ -51,3 +51,31 @@ def test_spec_roundtrip(performance_dataset):
     assert spec.operator == record.operator
     assert spec.np_ranks == record.np_ranks
     assert spec.problem_size == record.problem_size
+
+
+def test_job_record_is_slotted_and_round_trips():
+    """Slotted records still pickle (process backend) and ``replace`` cleanly."""
+    import dataclasses
+    import pickle
+
+    from repro.cluster import JobRecord
+    from repro.datasets import PerfDataset, generate_performance_dataset
+
+    records = generate_performance_dataset(3, n_jobs=20).records
+    record = records[0]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+
+    restored = pickle.loads(pickle.dumps(records))
+    assert restored == records
+    assert all(type(r) is JobRecord for r in restored)
+
+    doubled = dataclasses.replace(record, runtime_seconds=2 * record.runtime_seconds)
+    assert doubled.runtime_seconds == 2 * record.runtime_seconds
+    assert doubled.job_id == record.job_id and doubled.spec == record.spec
+    assert record.runtime_seconds == restored[0].runtime_seconds  # original untouched
+
+    ds = PerfDataset(name="rt", records=[doubled, *restored[1:]])
+    assert len(ds) == 20
+    assert ds.column("runtime_seconds")[0] == doubled.runtime_seconds

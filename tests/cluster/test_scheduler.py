@@ -195,3 +195,53 @@ def test_unknown_policy_rejected():
 
     with _pytest.raises(ValueError, match="policy"):
         _sim(policy="fairshare")
+
+
+@pytest.mark.parametrize("spacing", [-1.0, float("nan"), float("inf"), float("-inf")])
+def test_submit_spacing_must_be_finite_and_non_negative(spacing):
+    # Negative spacing would make submit times decrease along the queue,
+    # which the scheduler's "everything submitted" fast path relies on.
+    with pytest.raises(ValueError, match="submit_spacing_s"):
+        _sim().run_batch([_spec(1.0, 32, 0), _spec(1.0, 32, 1)], submit_spacing_s=spacing)
+
+
+class CountingExecutor(FixedExecutor):
+    """Counts ``estimate`` calls per job (keyed by repeat_index)."""
+
+    def __init__(self):
+        self.calls = {}
+
+    def estimate(self, spec):
+        self.calls[spec.repeat_index] = self.calls.get(spec.repeat_index, 0) + 1
+        return super().estimate(spec)
+
+
+@pytest.mark.parametrize("policy", ["fifo", "sjf"])
+@pytest.mark.parametrize("spacing", [0.0, 4.0])
+def test_estimate_asked_at_most_once_per_job(policy, spacing):
+    rng = np.random.default_rng(4)
+    specs = [
+        _spec(float(rng.uniform(1, 60)), int(rng.choice([1, 32, 64, 96, 128])), i)
+        for i in range(150)
+    ]
+    ex = CountingExecutor()
+    sim = SlurmSimulator(wisconsin_cluster(), ex, rng=0, policy=policy)
+    records = sim.run_batch(specs, submit_spacing_s=spacing)
+    assert len(records) == 150
+    assert max(ex.calls.values()) == 1
+    if policy == "sjf":
+        assert len(ex.calls) == 150  # every job is ordered by its estimate
+    # A second batch on the same simulator asks afresh, once per job again.
+    ex.calls.clear()
+    sim.run_batch(specs, submit_spacing_s=spacing)
+    assert max(ex.calls.values()) == 1
+
+
+def test_fifo_asks_no_estimate_when_nothing_waits():
+    """Estimates are lazy: a queue that never blocks never asks for one."""
+    ex = CountingExecutor()
+    records = SlurmSimulator(wisconsin_cluster(), ex, rng=0).run_batch(
+        [_spec(5.0, 32, i) for i in range(4)]
+    )
+    assert len(records) == 4
+    assert ex.calls == {}

@@ -15,6 +15,7 @@ from repro.datasets.generate import (
     ModelExecutor,
     feasible_configurations,
 )
+from repro.perfmodel.runtime import RuntimeModel
 
 
 def test_performance_dataset_size(performance_dataset):
@@ -94,6 +95,28 @@ def test_feasible_configurations_filtered():
     from repro.datasets import full_factorial
 
     assert 0 < len(configs) < len(full_factorial())
+
+
+@pytest.mark.parametrize(
+    "model", [RuntimeModel(), RuntimeModel(seconds_per_dof=8e-6, smt_efficiency=0.9)]
+)
+def test_feasible_configurations_match_scalar_loop(model):
+    """The per-operator vectorised filter keeps exactly the scalar-loop list."""
+    from repro.datasets import full_factorial
+    from repro.datasets.schema import FeasibilityRule
+
+    rule = FeasibilityRule()
+    scalar = [
+        (op, size, np_ranks, freq)
+        for op, size, np_ranks, freq in full_factorial()
+        if rule.feasible(
+            size, np_ranks, float(model.runtime(op, size, np_ranks, freq))
+        )
+    ]
+    assert feasible_configurations(model, rule) == scalar
+    assert len(full_factorial()) == 2805
+    if model == RuntimeModel():
+        assert len(scalar) == 2701
 
 
 def test_model_executor_estimate_noise_free():
