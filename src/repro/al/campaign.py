@@ -49,18 +49,11 @@ from ..cluster.jobs import JobSpec
 from ..cluster.machine import ClusterSpec, wisconsin_cluster
 from ..cluster.scheduler import Executor, SlurmSimulator
 from ..gp.gpr import GaussianProcessRegressor
-from .guardrails import (
-    DriftDetector,
-    GuardrailConfig,
-    GuardrailTallies,
-    LastKnownGood,
-    ModelHealth,
-    apply_remediation,
-)
+from .guardrails import DriftDetector, FitGate, GuardrailConfig, GuardrailTallies
 from .learner import default_model_factory
 from .pool import CandidatePool
 from .resilience import FailureAccounting, QuarantinePolicy, RetryPolicy
-from .session import read_json_checked, write_json_atomic
+from .session import generator_state, read_json_checked, write_json_atomic
 from .strategies import Strategy, VarianceReduction, select_batch
 
 __all__ = [
@@ -256,14 +249,6 @@ class _CampaignState:
     stop_reason: str = "completed"
 
 
-def _generator_state(obj) -> dict | None:
-    """Bit-generator state of ``obj.rng`` / ``obj`` when it is a Generator."""
-    gen = getattr(obj, "rng", obj)
-    if isinstance(gen, np.random.Generator):
-        return gen.bit_generator.state
-    return None
-
-
 class OnlineCampaign:
     """Drives AL rounds through the cluster simulator.
 
@@ -380,17 +365,11 @@ class OnlineCampaign:
         self.registry = registry
 
         guard = self.guardrails
-        self._health = (
-            ModelHealth(guard.health) if guard and guard.check_health else None
-        )
         self._drift = (
             DriftDetector(guard.drift) if guard and guard.check_drift else None
         )
-        self._lkg = LastKnownGood()
-        self._tallies = GuardrailTallies()
-        self._remediation_level = 0
-        self._prev_lml_pp: float | None = None
-        self._last_report = None  # HealthReport of the most recent gate check
+        # Also holds the tallies of the drift, breaker and watchdog layers.
+        self._gate = FitGate.from_config(guard)
         # Breaker counters already accounted for by a resumed checkpoint
         # (the live breaker restarts its own counters from zero).
         self._breaker_base = (0, 0, 0)
@@ -522,10 +501,7 @@ class OnlineCampaign:
         y = np.asarray(measured_y, dtype=float)
         last_exc: Exception | None = None
         for jitter_scale in (1.0, 1e3, 1e6):
-            model = self.model_factory()
-            if self.guardrails is not None and self._remediation_level > 0:
-                apply_remediation(model, self._remediation_level, self.guardrails)
-                self._tallies.n_remediations += 1
+            model = self._gate.remediate(self.model_factory())
             model.jitter *= jitter_scale
             if jitter_scale > 1.0:
                 tm.count("campaign.fit.jitter_escalation")
@@ -546,67 +522,54 @@ class OnlineCampaign:
         assert last_exc is not None
         raise last_exc
 
+    def _full_fit_due(
+        self, model: GaussianProcessRegressor | None, round_index: int
+    ) -> bool:
+        """Whether this round refits hyperparameters (vs. a rank-1 update)."""
+        return (
+            not self.fast_refits
+            or model is None
+            or not model.fitted
+            or round_index % self.refit_every == 0
+        )
+
     def _advance_model(
         self,
         model: GaussianProcessRegressor | None,
-        state: _CampaignState,
+        measured_X,
+        measured_y,
         round_index: int,
     ) -> GaussianProcessRegressor:
         """Refit (or rank-1-update, with ``fast_refits``) the round model."""
-        if (
-            self.fast_refits
-            and model is not None
-            and model.fitted
-            and round_index % self.refit_every != 0
-        ):
-            # Fold rows measured since the last fit into the posterior
-            # (rank-1 updates), hyperparameters held fixed this round.
-            tm.count("campaign.fit.incremental")
-            n_fitted = model.X_train_.shape[0]
-            if n_fitted < len(state.measured_y):
-                X = np.vstack(state.measured_X)
-                y = np.asarray(state.measured_y, dtype=float)
-                try:
-                    model.update(X[n_fitted:], y[n_fitted:])
-                except np.linalg.LinAlgError:
-                    return self._fit_model(
-                        state.measured_X, state.measured_y, fallback=model
-                    )
-            return model
-        tm.count("campaign.fit.full")
-        return self._fit_model(state.measured_X, state.measured_y, fallback=model)
+        if self._full_fit_due(model, round_index):
+            return self._fit_model(measured_X, measured_y, fallback=model)
+        # Fold rows measured since the last fit into the posterior (rank-1
+        # updates), hyperparameters held fixed this round.
+        n_fitted = model.X_train_.shape[0]
+        if n_fitted < len(measured_y):
+            X = np.vstack(measured_X)
+            y = np.asarray(measured_y, dtype=float)
+            try:
+                model.update(X[n_fitted:], y[n_fitted:])
+            except np.linalg.LinAlgError:
+                return self._fit_model(measured_X, measured_y, fallback=model)
+        return model
 
     def _replay_model(self, state: _CampaignState) -> GaussianProcessRegressor | None:
         """Rebuild the in-round model of a resumed ``fast_refits`` campaign.
 
-        Replays the exact fit/update sequence the original process
-        performed (recorded in ``fit_counts``), so the resumed posterior is
-        bit-identical.  Without ``fast_refits`` every round refits from
-        scratch, so there is nothing to replay.
+        Re-runs :meth:`_advance_model` on the measured prefix each completed
+        round fitted on (recorded in ``fit_counts``), so the resumed
+        posterior is bit-identical.  Without ``fast_refits`` every round
+        refits from scratch, so there is nothing to replay.
         """
-        if not self.fast_refits or not state.measured_y:
+        if not self.fast_refits:
             return None
-        X = np.vstack(state.measured_X)
-        y = np.asarray(state.measured_y, dtype=float)
         model: GaussianProcessRegressor | None = None
         for round_index, n_now in enumerate(state.fit_counts):
-            if n_now == 0:
-                continue
-            if (
-                model is not None
-                and model.fitted
-                and round_index % self.refit_every != 0
-            ):
-                n_fitted = model.X_train_.shape[0]
-                if n_fitted < n_now:
-                    try:
-                        model.update(X[n_fitted:n_now], y[n_fitted:n_now])
-                    except np.linalg.LinAlgError:
-                        model = self._fit_model(
-                            X[:n_now], y[:n_now], fallback=model
-                        )
-            else:
-                model = self._fit_model(X[:n_now], y[:n_now], fallback=model)
+            if n_now:
+                X, y = state.measured_X[:n_now], state.measured_y[:n_now]
+                model = self._advance_model(model, X, y, round_index)
         return model
 
     # ----------------------------------------------------------- guardrails
@@ -624,20 +587,16 @@ class OnlineCampaign:
         if self.breaker is None:
             return
         base = self._breaker_base
-        self._tallies.n_breaker_opens = base[0] + self.breaker.n_opened
-        self._tallies.n_breaker_probes = base[1] + self.breaker.n_probes
-        self._tallies.n_breaker_blacklisted = base[2] + self.breaker.n_blacklisted
+        tallies = self._gate.tallies
+        tallies.n_breaker_opens = base[0] + self.breaker.n_opened
+        tallies.n_breaker_probes = base[1] + self.breaker.n_probes
+        tallies.n_breaker_blacklisted = base[2] + self.breaker.n_blacklisted
 
     def _guardrail_state_payload(self, state: _CampaignState) -> dict | None:
         if not self._guarded:
             return None
         self._sync_breaker_tallies()
-        return {
-            "tallies": self._tallies.as_dict(),
-            "remediation_level": self._remediation_level,
-            "prev_lml_per_point": self._prev_lml_pp,
-            "stop_reason": state.stop_reason,
-        }
+        return {**self._gate.state(), "stop_reason": state.stop_reason}
 
     # ------------------------------------------------------------ checkpointing
 
@@ -665,7 +624,7 @@ class OnlineCampaign:
             n_quarantined=state.accounting.n_quarantined,
             wasted_core_seconds=state.accounting.wasted_core_seconds,
             rng_state=self.rng.bit_generator.state,
-            executor_rng_state=_generator_state(self.executor),
+            executor_rng_state=generator_state(self.executor),
             strategy_rng_state=(
                 tie_rng().bit_generator.state if callable(tie_rng) else None
             ),
@@ -781,15 +740,13 @@ class OnlineCampaign:
         )
         if checkpoint.guardrail_state:
             gs = checkpoint.guardrail_state
-            self._tallies = GuardrailTallies.from_dict(gs.get("tallies"))
-            self._remediation_level = int(gs.get("remediation_level", 0))
-            prev = gs.get("prev_lml_per_point")
-            self._prev_lml_pp = None if prev is None else float(prev)
+            self._gate.load_state(gs)
             state.stop_reason = str(gs.get("stop_reason", "completed"))
+            tallies = self._gate.tallies
             self._breaker_base = (
-                self._tallies.n_breaker_opens,
-                self._tallies.n_breaker_probes,
-                self._tallies.n_breaker_blacklisted,
+                tallies.n_breaker_opens,
+                tallies.n_breaker_probes,
+                tallies.n_breaker_blacklisted,
             )
         with tm.span(
             "campaign",
@@ -831,7 +788,7 @@ class OnlineCampaign:
         if not (over_wall or over_cost):
             return False
         state.stop_reason = "watchdog"
-        self._tallies.n_watchdog_stops += 1
+        self._gate.tallies.n_watchdog_stops += 1
         tm.count("guardrail.watchdog_stop")
         tm.event(
             "guardrail.stop",
@@ -842,61 +799,6 @@ class OnlineCampaign:
             cpu_core_seconds=state.total_core_seconds,
         )
         return True
-
-    def _health_gate(
-        self,
-        model: GaussianProcessRegressor,
-        state: _CampaignState,
-        round_index: int,
-    ) -> GaussianProcessRegressor:
-        """Check a freshly (re)fitted model; roll back when unhealthy.
-
-        A healthy fit becomes the new last-known-good snapshot and resets
-        the remediation escalation.  An unhealthy one is replaced by the
-        snapshot re-materialized on the current training set, and the next
-        full refit runs remediated (more restarts, then a raised noise
-        floor).  After ``max_rollbacks`` consecutive rejections the latest
-        fit is accepted anyway — the workload may genuinely have changed.
-        """
-        assert self._health is not None
-        report = self._health.check(model, prev_lml_per_point=self._prev_lml_pp)
-        self._last_report = report
-        guard = self.guardrails
-        if report.healthy:
-            self._lkg.remember(model)
-            if report.n_train >= self._health.config.min_points:
-                # Tiny-fit LML is not a comparable baseline (see
-                # HealthConfig.min_points).
-                self._prev_lml_pp = report.lml_per_point
-            self._remediation_level = 0
-            return model
-        self._tallies.n_unhealthy_fits += 1
-        if (
-            self._lkg.available
-            and self._remediation_level < guard.max_rollbacks
-        ):
-            X = np.vstack(state.measured_X)
-            y = np.asarray(state.measured_y, dtype=float)
-            try:
-                rolled_back = self._lkg.restore(X, y)
-            except np.linalg.LinAlgError:
-                pass  # snapshot no longer extendable; keep the fresh fit
-            else:
-                self._tallies.n_rollbacks += 1
-                self._remediation_level += 1
-                tm.count("guardrail.rollback")
-                tm.event(
-                    "guardrail.rollback",
-                    round=round_index,
-                    issues=list(report.issues),
-                    remediation_level=self._remediation_level,
-                )
-                return rolled_back
-        # Out of rollbacks (or nothing to roll back to): accept the fit.
-        self._lkg.remember(model)
-        self._prev_lml_pp = report.lml_per_point
-        self._remediation_level = 0
-        return model
 
     def _publish(
         self,
@@ -928,7 +830,8 @@ class OnlineCampaign:
         fit.  Returns the model to carry forward (always ``None``).
         """
         guard = self.guardrails
-        self._tallies.n_drift_events += 1
+        tallies = self._gate.tallies
+        tallies.n_drift_events += 1
         n_trimmed = 0
         if guard.drift_action == "trim":
             n = len(state.measured_y)
@@ -936,11 +839,9 @@ class OnlineCampaign:
             if n_trimmed > 0:
                 state.measured_X = state.measured_X[n_trimmed:]
                 state.measured_y = state.measured_y[n_trimmed:]
-                self._tallies.n_trimmed_points += n_trimmed
+                tallies.n_trimmed_points += n_trimmed
         state.fit_counts = [0] * len(state.fit_counts)
-        self._lkg.reset()
-        self._prev_lml_pp = None
-        self._remediation_level = 0
+        self._gate.reset()
         if self._drift is not None:
             self._drift.reset()
         tm.count("guardrail.drift")
@@ -990,25 +891,29 @@ class OnlineCampaign:
                     max_sd = float("nan")
                     k = 1
                 else:
-                    full_fit = (
-                        not self.fast_refits
-                        or model is None
-                        or not model.fitted
-                        or round_index % self.refit_every == 0
+                    full_fit = self._full_fit_due(model, round_index)
+                    tm.count(
+                        "campaign.fit.full" if full_fit else "campaign.fit.incremental"
                     )
-                    fresh = self._advance_model(model, state, round_index)
-                    model = fresh
-                    publish_health = None
-                    if self._health is not None and full_fit:
-                        model = self._health_gate(fresh, state, round_index)
-                        publish_health = self._last_report
-                    if full_fit and model is fresh:
+                    model = fresh = self._advance_model(
+                        model, state.measured_X, state.measured_y, round_index
+                    )
+                    if full_fit:
+                        model = self._gate.admit(
+                            fresh,
+                            np.vstack(state.measured_X),
+                            np.asarray(state.measured_y, dtype=float),
+                            round=round_index,
+                        )
                         # Healthy (or force-accepted) full refit: make it the
                         # served version.  Rollback rounds publish nothing —
                         # the last-known-good already is the served version.
-                        self._publish(
-                            model, health=publish_health, round_index=round_index
-                        )
+                        if model is fresh:
+                            self._publish(
+                                model,
+                                health=self._gate.last_report,
+                                round_index=round_index,
+                            )
                     state.fit_counts.append(len(state.measured_y))
                     pool = CandidatePool(
                         cand_X, np.zeros(len(cand_X)), np.zeros(len(cand_X))
@@ -1073,13 +978,11 @@ class OnlineCampaign:
             final_model = self._fit_model(
                 state.measured_X, state.measured_y, fallback=model
             )
-            final_health = None
-            if self._health is not None and final_model.fitted:
-                final_health = self._health.check(
-                    final_model, prev_lml_per_point=self._prev_lml_pp
-                )
             self._publish(
-                final_model, health=final_health, round_index=None, final=True
+                final_model,
+                health=self._gate.check(final_model),
+                round_index=None,
+                final=True,
             )
             X = np.vstack(state.measured_X)
         else:
@@ -1095,7 +998,7 @@ class OnlineCampaign:
         tallies: GuardrailTallies | None = None
         if self._guarded:
             self._sync_breaker_tallies()
-            tallies = self._tallies
+            tallies = self._gate.tallies
             acct.n_rollbacks = tallies.n_rollbacks
             acct.n_drift_events = tallies.n_drift_events
             acct.n_breaker_opens = tallies.n_breaker_opens

@@ -24,7 +24,11 @@ subsequent selection.  This module supplies the defensive layer:
   which corrupts no single job yet shifts the whole measurement regime;
 * :class:`GuardrailConfig` / :class:`GuardrailTallies` bundle the knobs and
   the campaign-level accounting that
-  :class:`~repro.al.campaign.OnlineCampaign` reports.
+  :class:`~repro.al.campaign.OnlineCampaign` reports;
+* :class:`FitGate` composes the first three into the one post-fit
+  decision every loop runs — :class:`~repro.al.learner.ActiveLearner`,
+  :class:`~repro.al.campaign.OnlineCampaign`, and one gate per shard in
+  :class:`~repro.al.sharding.ShardSupervisor`.
 
 All decisions emit telemetry through :mod:`repro.telemetry`
 (``guardrail.unhealthy``, ``guardrail.rollback``, ``guardrail.drift``,
@@ -51,6 +55,7 @@ __all__ = [
     "DriftDetector",
     "GuardrailConfig",
     "GuardrailTallies",
+    "FitGate",
 ]
 
 
@@ -156,7 +161,7 @@ class HealthReport:
 
 
 #: Conditioning headroom for approximate-solver fits (see
-#: ModelHealth._check_approx): their small systems aggregate
+#: ModelHealth.check): their small systems aggregate
 #: ``sigma^-2 n`` kernel rows, so a healthy fit's condition number sits
 #: ~n/sigma^2 above the exact ``K_y``'s.
 _APPROX_COND_HEADROOM = 1e4
@@ -174,17 +179,70 @@ class ModelHealth:
     def __init__(self, config: HealthConfig | None = None):
         self.config = config or HealthConfig()
 
-    @staticmethod
-    def _pinned_hyperparameters(
-        model: GaussianProcessRegressor, cfg: HealthConfig
-    ) -> tuple[list, bool]:
-        """Hyperparameters sitting at their bounds (log space)."""
+    def check(
+        self,
+        model: GaussianProcessRegressor,
+        *,
+        prev_lml_per_point: float | None = None,
+    ) -> HealthReport:
+        """Health of a fitted model; ``prev_lml_per_point`` is the baseline.
+
+        Approximate (Nystrom/RFF) fits get a reduced check: the full n-by-n
+        Cholesky factor does not exist, so conditioning is judged from the
+        backend's small factor (``Lc`` for Nystrom, ``La`` for RFF), LOOCV
+        is skipped (``outlier_rate=None``), and a blown exact-vs-approximate
+        error budget becomes a health issue.
+        """
+        if not model.fitted:
+            raise RuntimeError("health check requires a fitted model")
+        cfg = self.config
+        afit = getattr(model, "_afit", None)
+        issues: list[str] = []
+        if afit is None:
+            n = model.X_train_.shape[0]
+            # cond(K_y) = cond(L)^2 from the cached Cholesky factor.
+            factor = model._fit.L
+            what = "kernel matrix ill-conditioned: cond(K)"
+            threshold = cfg.max_condition_number
+            lml = float(model.lml_)
+            heteroscedastic = getattr(model, "noise_alpha_", None) is not None
+        else:
+            n = afit.n_train
+            factor = afit.arrays.get("Lc")
+            if factor is None:
+                factor = afit.arrays.get("La")
+            # The approximate systems (C = K_mm + sigma^-2 K_mn K_nm, or
+            # A = Phi^T Phi + sigma^2 I) aggregate sigma^-2 n kernel rows, so
+            # their conditioning legitimately runs orders of magnitude above
+            # the exact K_y's; the exact threshold would flag healthy
+            # large-pool fits.  The headroom keeps the check meaningful for
+            # genuinely degenerate fits (noise collapsed to its floor pushes
+            # cond past even this).
+            what = "approximate-solver system ill-conditioned: cond"
+            threshold = cfg.max_condition_number * _APPROX_COND_HEADROOM
+            # DTC / feature-space marginal likelihood: comparable only
+            # across fits of the same backend, so the regression check
+            # still applies.
+            lml = float(afit.lml)
+            heteroscedastic = False
+        # Below min_points only the conditioning check is trustworthy; see
+        # HealthConfig.min_points for why tiny fits get a pass.
+        enough_data = n >= cfg.min_points
+
+        if factor is None:  # pragma: no cover - new backends must add a key
+            cond = float("nan")
+        else:
+            sv = np.linalg.svd(np.asarray(factor), compute_uv=False)
+            cond = float("inf") if sv[-1] == 0 else float((sv[0] / sv[-1]) ** 2)
+        if not np.isfinite(cond) or cond > threshold:
+            issues.append(f"{what}={cond:.3g} > {threshold:.3g}")
+
+        # Hyperparameters pinned at bounds (log space).
         theta = model._theta()
-        bounds = model._theta_bounds()
         pinned: list[str] = []
         noise_at_floor = False
         nk = model.kernel_.n_dims
-        for i, (val, (lo, hi)) in enumerate(zip(theta, bounds)):
+        for i, (val, (lo, hi)) in enumerate(zip(theta, model._theta_bounds())):
             at_low = val <= lo + cfg.pin_log_tol
             at_high = val >= hi - cfg.pin_log_tol
             if not (at_low or at_high):
@@ -194,39 +252,6 @@ class ModelHealth:
                 noise_at_floor = at_low
             else:
                 pinned.append(f"kernel.theta[{i}]")
-        return pinned, noise_at_floor
-
-    def check(
-        self,
-        model: GaussianProcessRegressor,
-        *,
-        prev_lml_per_point: float | None = None,
-    ) -> HealthReport:
-        if not model.fitted:
-            raise RuntimeError("health check requires a fitted model")
-        if getattr(model, "_afit", None) is not None:
-            return self._check_approx(model, prev_lml_per_point)
-        cfg = self.config
-        issues: list[str] = []
-        n = model.X_train_.shape[0]
-        # Below min_points only the conditioning check is trustworthy; see
-        # HealthConfig.min_points for why tiny fits get a pass.
-        enough_data = n >= cfg.min_points
-
-        # cond(K_y) = cond(L)^2 from the cached Cholesky factor.
-        L = model._fit.L
-        sv = np.linalg.svd(L, compute_uv=False)
-        cond = float("inf") if sv[-1] == 0 else float((sv[0] / sv[-1]) ** 2)
-        if not np.isfinite(cond) or cond > cfg.max_condition_number:
-            issues.append(
-                f"kernel matrix ill-conditioned: cond(K)={cond:.3g} > "
-                f"{cfg.max_condition_number:.3g}"
-            )
-
-        # Hyperparameters pinned at bounds (log space).
-        theta = model._theta()
-        heteroscedastic = getattr(model, "noise_alpha_", None) is not None
-        pinned, noise_at_floor = self._pinned_hyperparameters(model, cfg)
         if (
             enough_data
             and noise_at_floor
@@ -244,7 +269,6 @@ class ModelHealth:
             )
 
         # Per-point LML regression versus the previous healthy fit.
-        lml = float(model.lml_)
         lml_pp = lml / max(n, 1)
         if (
             enough_data
@@ -257,9 +281,9 @@ class ModelHealth:
                 f"{cfg.max_lml_drop_per_point})"
             )
 
-        # LOOCV standardized-residual outlier rate.
+        # LOOCV standardized-residual outlier rate (exact fits only).
         outlier_rate: float | None = None
-        if n >= cfg.min_points_for_loocv and np.isfinite(cond):
+        if afit is None and n >= cfg.min_points_for_loocv and np.isfinite(cond):
             try:
                 z = loo_standardized_residuals(model)
                 outlier_rate = float(np.mean(np.abs(z) > cfg.loocv_z_threshold))
@@ -272,6 +296,16 @@ class ModelHealth:
                         f"{cfg.max_outlier_rate} (|z| > "
                         f"{cfg.loocv_z_threshold})"
                     )
+
+        budget = (afit.error_budget if afit is not None else None) or {}
+        if budget.get("within_budget") is False:
+            issues.append(
+                "exact-vs-approximate error budget exceeded: "
+                f"max mean err {budget.get('max_mean_err'):.3g} "
+                f"(budget {budget.get('budget_mean'):.3g}), "
+                f"max std err {budget.get('max_std_err'):.3g} "
+                f"(budget {budget.get('budget_std'):.3g})"
+            )
 
         report = HealthReport(
             issues=tuple(issues),
@@ -294,108 +328,7 @@ class ModelHealth:
                 condition_number=cond,
                 lml_per_point=lml_pp,
                 outlier_rate=outlier_rate,
-            )
-        return report
-
-    def _check_approx(
-        self,
-        model: GaussianProcessRegressor,
-        prev_lml_per_point: float | None,
-    ) -> HealthReport:
-        """Reduced health check for approximate (Nystrom/RFF) fits.
-
-        The full n-by-n Cholesky factor does not exist, so conditioning is
-        judged from the backend's small factor (``Lc`` for Nystrom, ``La``
-        for RFF), LOOCV is skipped (``outlier_rate=None``), and a blown
-        exact-vs-approximate error budget becomes a health issue.
-        """
-        cfg = self.config
-        afit = model._afit
-        issues: list[str] = []
-        n = afit.n_train
-        enough_data = n >= cfg.min_points
-
-        factor = afit.arrays.get("Lc")
-        if factor is None:
-            factor = afit.arrays.get("La")
-        if factor is None:  # pragma: no cover - new backends must add a key
-            cond = float("nan")
-        else:
-            sv = np.linalg.svd(np.asarray(factor), compute_uv=False)
-            cond = float("inf") if sv[-1] == 0 else float((sv[0] / sv[-1]) ** 2)
-        # The approximate systems (C = K_mm + sigma^-2 K_mn K_nm, or
-        # A = Phi^T Phi + sigma^2 I) aggregate sigma^-2 n kernel rows, so
-        # their conditioning legitimately runs orders of magnitude above
-        # the exact K_y's; the exact threshold would flag healthy
-        # large-pool fits.  The headroom keeps the check meaningful for
-        # genuinely degenerate fits (noise collapsed to its floor pushes
-        # cond past even this).
-        threshold = cfg.max_condition_number * _APPROX_COND_HEADROOM
-        if not np.isfinite(cond) or cond > threshold:
-            issues.append(
-                f"approximate-solver system ill-conditioned: "
-                f"cond={cond:.3g} > {threshold:.3g}"
-            )
-
-        theta = model._theta()
-        pinned, noise_at_floor = self._pinned_hyperparameters(model, cfg)
-        if enough_data and noise_at_floor and cfg.noise_floor_pin_is_unhealthy:
-            issues.append(
-                "noise variance pinned at its floor "
-                f"({model.noise_variance_:.3g}): the fit is absorbing noise "
-                "into the kernel (overfitting signature)"
-            )
-        elif enough_data and len(pinned) == len(theta) and len(theta) > 0:
-            issues.append(
-                f"all hyperparameters pinned at bounds: {', '.join(pinned)}"
-            )
-
-        # DTC / feature-space marginal likelihood: comparable only across
-        # fits of the same backend, so the regression check still applies.
-        lml = float(afit.lml)
-        lml_pp = lml / max(n, 1)
-        if (
-            enough_data
-            and prev_lml_per_point is not None
-            and lml_pp < prev_lml_per_point - cfg.max_lml_drop_per_point
-        ):
-            issues.append(
-                f"per-point LML regressed: {lml_pp:.3f} vs previous "
-                f"{prev_lml_per_point:.3f} (tolerance "
-                f"{cfg.max_lml_drop_per_point})"
-            )
-
-        budget = afit.error_budget or {}
-        if budget.get("within_budget") is False:
-            issues.append(
-                "exact-vs-approximate error budget exceeded: "
-                f"max mean err {budget.get('max_mean_err'):.3g} "
-                f"(budget {budget.get('budget_mean'):.3g}), "
-                f"max std err {budget.get('max_std_err'):.3g} "
-                f"(budget {budget.get('budget_std'):.3g})"
-            )
-
-        report = HealthReport(
-            issues=tuple(issues),
-            condition_number=cond,
-            pinned=tuple(pinned),
-            noise_at_floor=noise_at_floor,
-            lml=lml,
-            lml_per_point=lml_pp,
-            outlier_rate=None,
-            n_train=n,
-            solver=model.solver_info,
-        )
-        if not report.healthy:
-            tm.count("guardrail.unhealthy")
-            tm.event(
-                "guardrail.health",
-                healthy=False,
-                issues=list(report.issues),
-                condition_number=cond,
-                lml_per_point=lml_pp,
-                outlier_rate=None,
-                solver=afit.backend,
+                **({} if afit is None else {"solver": afit.backend}),
             )
         return report
 
@@ -682,3 +615,132 @@ class GuardrailTallies:
             return cls()
         known = {f: int(data.get(f, 0)) for f in cls().as_dict()}
         return cls(**known)
+
+
+# ------------------------------------------------------------------- gate
+
+
+class FitGate:
+    """The post-fit decision of one model stream: keep the fit or roll back.
+
+    :meth:`admit` checks a fresh fit against the per-point-LML baseline.
+    It is *accepted* — it becomes the :class:`LastKnownGood` snapshot, its
+    per-point LML the baseline (only from fits with at least
+    ``HealthConfig.min_points`` rows: tiny-fit LML is no comparable
+    baseline), and the escalation level resets — when it is healthy, when
+    no snapshot exists, when the snapshot cannot be extended
+    (``LinAlgError``), or when ``escalation.max_rollbacks`` consecutive
+    rollbacks are spent (refusing forever would deadlock a changed
+    workload).  Otherwise it is *rolled back* to the snapshot restored on
+    the current training set, and the level rises, so :meth:`remediate`
+    escalates the next fresh model via :func:`apply_remediation`.
+
+    ``health=None`` accepts every fit unchecked.  ``escalation=None`` never
+    force-accepts and never remediates (the shard gates: their fits run
+    inside workers from a fixed factory).  ``tallies`` may be shared by
+    several gates; ``rollback_telemetry`` names the counter and the event
+    emitted per rollback.
+    """
+
+    def __init__(
+        self,
+        health: HealthConfig | None = None,
+        *,
+        escalation: GuardrailConfig | None = None,
+        tallies: GuardrailTallies | None = None,
+        rollback_telemetry=("guardrail.rollback", "guardrail.rollback"),
+    ):
+        self.health = ModelHealth(health) if health is not None else None
+        self.escalation = escalation
+        self.tallies = tallies if tallies is not None else GuardrailTallies()
+        self.rollback_telemetry = rollback_telemetry
+        self.lkg = LastKnownGood()
+        #: consecutive rollbacks since the last accepted fit
+        self.level = 0
+        self.prev_lml_per_point: float | None = None
+        #: report of the most recent :meth:`admit` check
+        self.last_report: HealthReport | None = None
+
+    @classmethod
+    def from_config(cls, config: GuardrailConfig | None) -> "FitGate":
+        """The gate of a learner or campaign guarded by ``config`` (or not)."""
+        if config is None:
+            return cls()
+        health = config.health if config.check_health else None
+        return cls(health, escalation=config)
+
+    def remediate(self, model: GaussianProcessRegressor) -> GaussianProcessRegressor:
+        """Escalate a fresh (unfitted) model by the current level."""
+        if self.escalation is not None and self.level > 0:
+            apply_remediation(model, self.level, self.escalation)
+            self.tallies.n_remediations += 1
+        return model
+
+    def check(self, model: GaussianProcessRegressor) -> HealthReport | None:
+        """Health of ``model`` against the baseline; changes no state."""
+        if self.health is None:
+            return None
+        return self.health.check(model, prev_lml_per_point=self.prev_lml_per_point)
+
+    def admit(
+        self, model: GaussianProcessRegressor, X, y, alpha=None, **where
+    ) -> GaussianProcessRegressor:
+        """``model`` when accepted, else the snapshot restored on ``X, y``.
+
+        ``X, y`` (and ``alpha``, for per-point noise) are the full current
+        training set, an append-only extension of the snapshot's.  ``where``
+        (e.g. ``round=3``) is added to the rollback event.
+        """
+        report = self.last_report = self.check(model)
+        if report is not None and not report.healthy:
+            self.tallies.n_unhealthy_fits += 1
+            esc = self.escalation
+            if esc is None or self.level < esc.max_rollbacks:
+                restored = self.restore(X, y, alpha)
+                if restored is not None:
+                    self.level += 1
+                    self.tallies.n_rollbacks += 1
+                    counter, event = self.rollback_telemetry
+                    tm.count(counter)
+                    tm.event(
+                        event,
+                        **where,
+                        issues=list(report.issues),
+                        remediation_level=self.level,
+                    )
+                    return restored
+        self.lkg.remember(model)
+        if report is not None and report.n_train >= self.health.config.min_points:
+            self.prev_lml_per_point = report.lml_per_point
+        self.level = 0
+        return model
+
+    def restore(self, X, y, alpha=None) -> GaussianProcessRegressor | None:
+        """The snapshot on the current training set; ``None`` if unavailable."""
+        if not self.lkg.available:
+            return None
+        try:
+            return self.lkg.restore(X, y, alpha)
+        except np.linalg.LinAlgError:
+            return None
+
+    def reset(self) -> None:
+        """Forget the snapshot, the baseline and the escalation level."""
+        self.lkg.reset()
+        self.prev_lml_per_point = None
+        self.level = 0
+
+    def state(self) -> dict:
+        """The checkpointed part of the gate (the snapshot restarts cold)."""
+        return {
+            "tallies": self.tallies.as_dict(),
+            "remediation_level": self.level,
+            "prev_lml_per_point": self.prev_lml_per_point,
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Restore what :meth:`state` saved."""
+        self.tallies = GuardrailTallies.from_dict(state.get("tallies"))
+        self.level = int(state.get("remediation_level", 0))
+        prev = state.get("prev_lml_per_point")
+        self.prev_lml_per_point = None if prev is None else float(prev)

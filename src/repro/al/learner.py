@@ -17,6 +17,7 @@ import numpy as np
 from .. import telemetry as tm
 from ..gp.gpr import GaussianProcessRegressor
 from ..gp.solvers import resolve_solver
+from .guardrails import FitGate, GuardrailConfig
 from .metrics import evaluate_model
 from .partition import Partition
 from .pool import CandidatePool
@@ -261,22 +262,10 @@ class ActiveLearner:
         self.fuse_repeats = bool(fuse_repeats)
         self.repeat_noise_variance = float(repeat_noise_variance)
 
-        # Guardrails (imported lazily: guardrails.py imports from gp only).
-        from .guardrails import GuardrailConfig, LastKnownGood, ModelHealth
-
         if guardrails is True:
             guardrails = GuardrailConfig()
         self.guardrails = guardrails or None
-        self._health = (
-            ModelHealth(self.guardrails.health)
-            if self.guardrails is not None and self.guardrails.check_health
-            else None
-        )
-        self._lkg = LastKnownGood()
-        self._prev_lml_pp: float | None = None
-        self._remediation_level = 0
-        self.n_rollbacks = 0
-        self._last_report = None  # HealthReport of the most recent gate check
+        self._gate = FitGate.from_config(self.guardrails)
 
         if registry is not None and not hasattr(registry, "publish"):
             from ..serve.registry import ModelRegistry
@@ -320,6 +309,11 @@ class ActiveLearner:
         """Total cost of all experiments queried so far."""
         return self._cumulative_cost
 
+    @property
+    def n_rollbacks(self) -> int:
+        """Unhealthy refits rolled back to the last healthy model so far."""
+        return self._gate.tallies.n_rollbacks
+
     def _fit_model(self, iteration: int) -> GaussianProcessRegressor:
         if (
             self.fast_refits
@@ -346,10 +340,8 @@ class ActiveLearner:
         tm.count("al.fit.full")
         warm = self.fast_refits and self.warm_start and self.model is not None
         model = self.model if warm else self.model_factory()
-        if not warm and self.guardrails is not None and self._remediation_level > 0:
-            from .guardrails import apply_remediation
-
-            apply_remediation(model, self._remediation_level, self.guardrails)
+        if not warm:
+            self._gate.remediate(model)
         if self.noise_floor_schedule is not None:
             floor = float(self.noise_floor_schedule(iteration))
             if floor <= 0:
@@ -378,45 +370,19 @@ class ActiveLearner:
             self.strategy.refit_cost_model(self._X_cost, self._costs_known)
             tm.count("al.cost_model.refit")
         fresh = model
-        if self._health is not None:
-            model = self._health_gate(fresh, iteration)
+        model = self._gate.admit(
+            fresh, self._X_train, self._y_train, self._alpha_train, iteration=iteration
+        )
         if self.registry is not None and model is fresh:
             # Healthy (or ungated) full refit: make it the served version.
             # Rollback iterations publish nothing — the last-known-good
             # already is the served version.
             self.registry.publish(
                 model,
-                health=self._last_report,
+                health=self._gate.last_report,
                 extra={"strategy": self.strategy.name, "iteration": iteration},
             )
         return model
-
-    def _health_gate(
-        self, model: GaussianProcessRegressor, iteration: int
-    ) -> GaussianProcessRegressor:
-        """Accept a healthy fit as last-known-good; roll an unhealthy one back."""
-        report = self._health.check(model, prev_lml_per_point=self._prev_lml_pp)
-        self._last_report = report
-        if (
-            report.healthy
-            or not self._lkg.available
-            or self._remediation_level >= self.guardrails.max_rollbacks
-        ):
-            self._lkg.remember(model)
-            if report.n_train >= self._health.config.min_points:
-                self._prev_lml_pp = report.lml_per_point
-            self._remediation_level = 0
-            return model
-        self.n_rollbacks += 1
-        self._remediation_level += 1
-        tm.count("guardrail.rollback")
-        tm.event(
-            "guardrail.rollback",
-            iteration=iteration,
-            issues=list(report.issues),
-            remediation_level=self._remediation_level,
-        )
-        return self._lkg.restore(self._X_train, self._y_train, self._alpha_train)
 
     # -------------------------------------------------------------------- loop
 

@@ -226,6 +226,14 @@ def write_json_atomic(payload: dict, path) -> Path:
     return path
 
 
+def generator_state(obj) -> dict | None:
+    """Bit-generator state of ``obj.rng`` / ``obj`` when it is a Generator."""
+    gen = getattr(obj, "rng", obj)
+    if isinstance(gen, np.random.Generator):
+        return gen.bit_generator.state
+    return None
+
+
 def read_json_checked(path, *, kind: str = "session") -> dict:
     """Read a JSON document, raising a descriptive error on corruption."""
     text = Path(path).read_text()

@@ -24,14 +24,14 @@ crash, hang, or silently corrupt data, and degrades instead of dying:
   boundary refinement: points whose two nearest cell centers are within
   ``boundary_margin`` of each other consult both shards' models and take
   the larger score.
-* :class:`ShardSupervisor` — the robustness headline: per-shard
-  :class:`~repro.al.guardrails.ModelHealth` gating, per-shard
-  :class:`~repro.al.guardrails.LastKnownGood` rollback, a shard-level
+* :class:`ShardSupervisor` — the robustness headline: one
+  :class:`~repro.al.guardrails.FitGate` per shard (health check and
+  last-known-good rollback, as for the global model), a shard-level
   circuit breaker (:class:`~repro.al.resilience.ShardBreaker`) that
   excludes open shards from routing and re-routes their pool mass to
   healthy neighbors, fault-injected fits
   (:class:`~repro.cluster.faults.ShardFaultInjector`) with bounded
-  deterministic retries, and per-shard atomic checkpoints with
+  deterministic retries, and an atomic per-round checkpoint with
   exactly-once :meth:`ShardedLearner.resume`.
 
 Degraded-mode guarantee: with k of N shards down the campaign keeps
@@ -63,18 +63,13 @@ from ..gp.gpr import GaussianProcessRegressor
 from ..parallel.pmap import ParallelMap
 from ..perfmodel import PERFORMANCE_NOISE, RuntimeModel
 from .campaign import CampaignResult
-from .guardrails import (
-    GuardrailTallies,
-    HealthConfig,
-    LastKnownGood,
-    ModelHealth,
-)
+from .guardrails import FitGate, GuardrailTallies, HealthConfig
 from .learner import default_model_factory
 from .metrics import evaluate_model
 from .partition import Partition
 from .pool import CandidatePool
 from .resilience import ShardBreaker, ShardBreakerConfig
-from .session import read_json_checked, write_json_atomic
+from .session import generator_state, read_json_checked, write_json_atomic
 from .strategies import Strategy, VarianceReduction
 
 __all__ = [
@@ -88,7 +83,6 @@ __all__ = [
 ]
 
 _MANIFEST_VERSION = 1
-_SHARD_FILE_VERSION = 1
 
 
 def _data_hash(X, y) -> str:
@@ -113,10 +107,6 @@ def _model_seed(base_seed: int, shard: int, round_index: int, attempt: int) -> i
         entropy=int(base_seed), spawn_key=(1, int(shard), int(round_index), int(attempt))
     )
     return int(ss.generate_state(1)[0])
-
-
-def _gen_state(gen) -> dict | None:
-    return None if gen is None else gen.bit_generator.state
 
 
 # ------------------------------------------------------------- partitioner
@@ -403,14 +393,16 @@ class _ShardFitTask:
 class ShardSupervisor:
     """Per-shard fit execution with health gating, rollback and breaking.
 
-    One instance owns, for every shard: a :class:`ModelHealth` verdict
-    stream, a :class:`LastKnownGood` snapshot (restored when a fit is
-    unhealthy *or* when every retry of a round failed — so a flapping
-    shard keeps serving its last healthy posterior), and a seat on the
-    shared :class:`~repro.al.resilience.ShardBreaker`.  Fit waves run
-    through :meth:`ParallelMap.map_grouped` with one affinity group per
-    shard; retries are extra waves with attempt-keyed fault draws, so the
-    whole schedule is deterministic.
+    One instance owns, for every shard: a
+    :class:`~repro.al.guardrails.FitGate` whose last-known-good snapshot is
+    restored when a fit is unhealthy *or* when every retry of a round
+    failed — so a flapping shard keeps serving its last healthy posterior
+    — and a seat on the shared :class:`~repro.al.resilience.ShardBreaker`.
+    Unlike the global model's gate, a shard gate never force-accepts an
+    unhealthy fit and never remediates: the fits run inside workers from a
+    fixed factory.  Fit waves run through :meth:`ParallelMap.map_grouped`
+    with one affinity group per shard; retries are extra waves with
+    attempt-keyed fault draws, so the whole schedule is deterministic.
     """
 
     def __init__(
@@ -421,7 +413,6 @@ class ShardSupervisor:
         model_factory,
         pmap: ParallelMap,
         fault_config: ShardFaultConfig | None = None,
-        tallies: GuardrailTallies | None = None,
     ):
         self.n_shards = int(n_shards)
         self.config = config
@@ -429,9 +420,15 @@ class ShardSupervisor:
         self.pmap = pmap
         self.fault_config = fault_config
         self.breaker = ShardBreaker(n_shards, config.breaker)
-        self.health = ModelHealth(config.health) if config.health else None
-        self.tallies = tallies if tallies is not None else GuardrailTallies()
-        self.lkg = {s: LastKnownGood() for s in range(n_shards)}
+        self.tallies = GuardrailTallies()
+        self.gates = {
+            s: FitGate(
+                config.health,
+                tallies=self.tallies,
+                rollback_telemetry=("shard.rollbacks", "shard.rollback"),
+            )
+            for s in range(n_shards)
+        }
         self.records = {
             s: {
                 "failures": 0,
@@ -447,7 +444,6 @@ class ShardSupervisor:
             }
             for s in range(n_shards)
         }
-        self.last_reports = {s: None for s in range(n_shards)}
         self.total_rounds = 0
 
     def _task(self) -> _ShardFitTask:
@@ -534,10 +530,20 @@ class ShardSupervisor:
 
         models: dict[int, GaussianProcessRegressor] = {}
         for s in sorted(fitted):
-            models[s] = self._health_gate(
-                s, round_index, succeeded_attempt[s], fitted[s],
-                shard_X[s], shard_y[s],
+            gate, rec, fresh = self.gates[s], self.records[s], fitted[s]
+            models[s] = gate.admit(
+                fresh, shard_X[s], shard_y[s], shard=s, round=round_index
             )
+            if gate.last_report is not None and not gate.last_report.healthy:
+                rec["unhealthy_fits"] += 1
+            if models[s] is fresh:
+                # The resume rebuilds the snapshot from this seed key.
+                rec["lkg_round"] = int(round_index)
+                rec["lkg_attempt"] = int(succeeded_attempt[s])
+                rec["lkg_n"] = int(fresh.X_train_.shape[0])
+                rec["prev_lml_pp"] = gate.prev_lml_per_point
+            else:
+                rec["rollbacks"] += 1
             self.breaker.record_success(s, round_index)
         for s in sorted(set(expected) - set(fitted)):
             # Every retry failed: the breaker hears about it, but the
@@ -545,17 +551,12 @@ class ShardSupervisor:
             # (rebuilt deterministically on resume, so routing stays
             # bit-identical to an uninterrupted run).
             self.breaker.record_failure(s, round_index)
-            if self.lkg[s].available:
-                try:
-                    models[s] = self.lkg[s].restore(
-                        np.asarray(shard_X[s], dtype=float),
-                        np.asarray(shard_y[s], dtype=float),
-                    )
-                    self.records[s]["rollbacks"] += 1
-                    self.tallies.n_rollbacks += 1
-                    tm.count("shard.rollbacks")
-                except (ValueError, np.linalg.LinAlgError):
-                    pass
+            restored = self.gates[s].restore(shard_X[s], shard_y[s])
+            if restored is not None:
+                models[s] = restored
+                self.records[s]["rollbacks"] += 1
+                self.tallies.n_rollbacks += 1
+                tm.count("shard.rollbacks")
         self.tallies.n_breaker_opens = self.breaker.n_opened
         self.tallies.n_breaker_probes = self.breaker.n_probes
         self.tallies.n_breaker_blacklisted = self.breaker.n_blacklisted
@@ -563,48 +564,6 @@ class ShardSupervisor:
             self.records[s]["available_rounds"] += 1
         tm.gauge_set("shard.available", len(models))
         return models
-
-    def _health_gate(
-        self, shard, round_index, attempt, model, X, y
-    ) -> GaussianProcessRegressor:
-        """Accept a healthy fit as the shard's LKG; roll an unhealthy one back."""
-        rec = self.records[shard]
-        if self.health is None:
-            self._remember(shard, round_index, attempt, model)
-            return model
-        report = self.health.check(
-            model, prev_lml_per_point=rec["prev_lml_pp"]
-        )
-        self.last_reports[shard] = report
-        if report.healthy or not self.lkg[shard].available:
-            self._remember(shard, round_index, attempt, model)
-            if report.n_train >= self.health.config.min_points:
-                rec["prev_lml_pp"] = report.lml_per_point
-            if not report.healthy:
-                rec["unhealthy_fits"] += 1
-                self.tallies.n_unhealthy_fits += 1
-            return model
-        rec["unhealthy_fits"] += 1
-        rec["rollbacks"] += 1
-        self.tallies.n_unhealthy_fits += 1
-        self.tallies.n_rollbacks += 1
-        tm.count("shard.rollbacks")
-        tm.event(
-            "shard.rollback",
-            shard=shard,
-            round=round_index,
-            issues=list(report.issues),
-        )
-        return self.lkg[shard].restore(
-            np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-        )
-
-    def _remember(self, shard, round_index, attempt, model) -> None:
-        self.lkg[shard].remember(model)
-        rec = self.records[shard]
-        rec["lkg_round"] = int(round_index)
-        rec["lkg_attempt"] = int(attempt)
-        rec["lkg_n"] = int(model.X_train_.shape[0])
 
     def availability(self, round_index: int) -> dict:
         """Per-shard availability report for ``CampaignResult``."""
@@ -891,14 +850,11 @@ class ShardedLearner:
     routes the batch through an :class:`AcquisitionRouter`, and adopts
     each measurement into its owner's (append-only) training set.
 
-    Checkpointing writes one atomic ``manifest.json`` (the authoritative
-    measurement log plus all RNG/breaker/guardrail state) and one atomic
-    ``shard-NNN.json`` per shard (an integrity-hashed cache of that
-    shard's training rows) after every round.  :meth:`resume` replays the
-    manifest exactly once — a SIGKILL mid-round loses at most the
-    un-checkpointed round, which is then re-derived bit-identically; a
-    torn or corrupted shard file is quarantined to a ``.corrupt`` sidecar
-    and rebuilt from the manifest.
+    Checkpointing writes one atomic ``manifest.json`` (the measurement log
+    plus all RNG/breaker/guardrail state) after every round.
+    :meth:`resume` replays the manifest exactly once — a SIGKILL mid-round
+    loses at most the un-checkpointed round, which is then re-derived
+    bit-identically.
 
     Parameters mirror :class:`~repro.al.learner.ActiveLearner`, plus:
 
@@ -962,13 +918,7 @@ class ShardedLearner:
         )
         template = strategy if strategy is not None else VarianceReduction()
         self.strategies = {
-            s: template.with_seed(
-                int(
-                    np.random.SeedSequence(
-                        entropy=int(config.seed), spawn_key=(3, s)
-                    ).generate_state(1)[0]
-                )
-            )
+            s: template.with_seed(self._strategy_seed(s))
             for s in range(config.n_shards)
         }
         self.strategy_name = template.name
@@ -1069,8 +1019,7 @@ class ShardedLearner:
         measured points are replayed from the manifest — never
         re-measured — and the interrupted round, if any, is re-derived
         bit-identically from restored RNG, breaker and last-known-good
-        state.  Corrupt per-shard checkpoint files are quarantined to
-        ``.corrupt`` sidecars and rebuilt from the manifest.
+        state.
         """
         if self._started:
             raise RuntimeError("resume() requires a freshly constructed learner")
@@ -1124,41 +1073,16 @@ class ShardedLearner:
             n_shards=self.config.n_shards,
             config=self.config.breaker,
         )
-        for s, rec in manifest["records"].items():
-            sup.records[int(s)].update(rec)
         sup.total_rounds = int(manifest.get("total_fit_rounds", 0))
         sup.tallies = GuardrailTallies.from_dict(manifest.get("tallies"))
+        for s, rec in manifest["records"].items():
+            sup.records[int(s)].update(rec)
+            gate = sup.gates[int(s)]
+            gate.tallies = sup.tallies
+            gate.prev_lml_per_point = rec["prev_lml_pp"]
 
-        self._heal_shard_files(directory)
         self._rebuild_lkg()
         return self._loop(int(manifest["next_round"]), directory)
-
-    def _heal_shard_files(self, directory: Path) -> None:
-        """Validate per-shard checkpoint caches; quarantine + rebuild torn ones."""
-        for s in range(self.config.n_shards):
-            path = directory / f"shard-{s:03d}.json"
-            X, y = self._shard_arrays(s)
-            expected = {
-                "n_rows": int(y.shape[0]),
-                "data_hash": _data_hash(X, y),
-            }
-            ok = False
-            try:
-                payload = read_json_checked(path, kind="shard checkpoint")
-                ok = (
-                    int(payload.get("n_rows", -1)) == expected["n_rows"]
-                    and payload.get("data_hash") == expected["data_hash"]
-                    and int(payload.get("shard", -1)) == s
-                )
-            except (ValueError, OSError):
-                ok = False
-            if ok:
-                continue
-            tm.count("shard.checkpoint.corrupt")
-            tm.event("shard.checkpoint_corrupt", shard=s, path=str(path))
-            if path.exists():
-                path.replace(path.with_name(path.name + ".corrupt"))
-            self._write_shard_file(directory, s)
 
     def _rebuild_lkg(self) -> None:
         """Re-materialize each shard's last-known-good from its seed key.
@@ -1188,7 +1112,7 @@ class ShardedLearner:
                 )
             )
             if out["ok"]:
-                self.supervisor.lkg[s].remember(
+                self.supervisor.gates[s].lkg.remember(
                     GaussianProcessRegressor.from_dict(out["model"])
                 )
 
@@ -1263,7 +1187,7 @@ class ShardedLearner:
             self.registry.publish_bundle(
                 [final_models[s] for s in shards],
                 shard_ids=shards,
-                healths=[self.supervisor.last_reports[s] for s in shards],
+                healths=[self.supervisor.gates[s].last_report for s in shards],
                 extra={
                     "strategy": self.strategy_name,
                     "n_rounds": cfg.n_rounds,
@@ -1291,28 +1215,14 @@ class ShardedLearner:
 
     # ---------------------------------------------------------- checkpoints
 
-    def _write_shard_file(self, directory: Path, shard: int) -> None:
-        X, y = self._shard_arrays(shard)
-        write_json_atomic(
-            {
-                "version": _SHARD_FILE_VERSION,
-                "shard": int(shard),
-                "n_rows": int(y.shape[0]),
-                "data_hash": _data_hash(X, y),
-                "X": X.tolist(),
-                "y": y.tolist(),
-            },
-            directory / f"shard-{shard:03d}.json",
-        )
-
     def _write_checkpoint(self, directory: Path, *, next_round: int) -> None:
         directory.mkdir(parents=True, exist_ok=True)
         sup = self.supervisor
         strategy_rng = {}
         for s, strat in self.strategies.items():
             strategy_rng[str(s)] = {
-                "tie": _gen_state(getattr(strat, "_tie_rng_", None)),
-                "rng": _gen_state(getattr(strat, "_rng", None)),
+                "tie": generator_state(getattr(strat, "_tie_rng_", None)),
+                "rng": generator_state(getattr(strat, "_rng", None)),
             }
         write_json_atomic(
             {
@@ -1327,7 +1237,7 @@ class ShardedLearner:
                 "cumulative_cost": self._cumulative_cost,
                 "measurements": self._measurements,
                 "rounds": self._rounds,
-                "rng_state": _gen_state(self._rng),
+                "rng_state": generator_state(self._rng),
                 "strategy_rng": strategy_rng,
                 "breaker": sup.breaker.as_dict(),
                 "records": {str(s): r for s, r in sup.records.items()},
@@ -1336,8 +1246,6 @@ class ShardedLearner:
             },
             directory / "manifest.json",
         )
-        for s in range(self.config.n_shards):
-            self._write_shard_file(directory, s)
         tm.count("shard.checkpoint.writes")
 
 

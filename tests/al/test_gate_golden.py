@@ -1,0 +1,186 @@
+"""Golden digests pinning the post-fit gate's decisions bit for bit.
+
+Each run uses a health configuration no fit can pass (or a campaign
+configuration whose later fits fail it), so the gate rolls back, escalates
+remediation, force-accepts and publishes on every path the three loops
+have: the offline :class:`ActiveLearner` (slow and ``fast_refits`` paths,
+with a registry), the :class:`OnlineCampaign` (straight through, and
+killed then resumed under ``fast_refits``), and the
+:class:`ShardedLearner` (unbounded per-shard rollbacks under injected
+shard faults).  A SHA-256 over the outputs that depend on every gate
+decision is compared against values taken before the three loops shared
+one gate.  Regenerate them only for a deliberate change of gate
+behaviour, and say so in the change log.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from repro.al import (
+    ActiveLearner,
+    VarianceReduction,
+    default_model_factory,
+    random_partition,
+)
+from repro.al.campaign import CampaignConfig, OnlineCampaign
+from repro.al.guardrails import GuardrailConfig, HealthConfig
+from repro.al.sharding import ShardedLearner, ShardingConfig, mixed_operator_pool
+from repro.al.strategies import CostEfficiency
+from repro.cluster.faults import ShardFaultConfig
+from repro.datasets.generate import ModelExecutor
+from repro.serve.registry import ModelRegistry
+
+#: No kernel matrix with two distinct rows has a condition number this close
+#: to 1, so every fit past the first few is unhealthy.
+IMPOSSIBLE = HealthConfig(max_condition_number=1.0 + 1e-9)
+
+
+def _digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _floats(values) -> list[str]:
+    return [repr(float(v)) for v in values]
+
+
+# ------------------------------------------------------------------ learner
+
+
+def _learner_run(tmp_path, **kw):
+    rng = np.random.default_rng(4)
+    X = np.sort(rng.uniform(0, 10, size=50))[:, np.newaxis]
+    y = 0.5 * X[:, 0] + np.sin(X[:, 0]) + 0.05 * rng.standard_normal(50)
+    costs = np.abs(y) + 1.0
+    registry = ModelRegistry(tmp_path / "registry")
+    learner = ActiveLearner(
+        X, y, costs, random_partition(50, rng=4), VarianceReduction(),
+        model_factory=default_model_factory(noise_floor=1e-2),
+        guardrails=GuardrailConfig(health=IMPOSSIBLE, max_rollbacks=2),
+        registry=registry,
+        **kw,
+    )
+    trace = learner.run(14)
+    published = [v.extra["iteration"] for v in registry.versions()]
+    return learner, trace, published
+
+
+LEARNER_GOLDEN = {
+    "slow": "65cc93a9975e50da39b8e08318aaa6dcf26273a83a21b815e8ce3ab0e7ff83a8",
+    "fast": "4e30e35efa587ee9cff01332a14f8fb07ab8583ab164e3012f1c1f5ae40055b8",
+}
+
+
+@pytest.mark.parametrize(
+    "name, kw",
+    [("slow", {}), ("fast", dict(fast_refits=True, refit_every=3))],
+)
+def test_learner_gate_golden(tmp_path, name, kw):
+    learner, trace, published = _learner_run(tmp_path, **kw)
+    assert learner.n_rollbacks > 0
+    assert len(published) < len(trace)  # rollback iterations publish nothing
+    digest = _digest(
+        {
+            "selected": [int(i) for i in trace.series("selected_pool_index")],
+            "y": _floats(trace.series("y_selected")),
+            "lml": _floats(trace.series("lml")),
+            "noise": _floats(trace.series("noise_variance")),
+            "n_rollbacks": learner.n_rollbacks,
+            "published": published,
+        }
+    )
+    assert digest == LEARNER_GOLDEN[name]
+
+
+# ----------------------------------------------------------------- campaign
+
+
+def _campaign(**kw):
+    sizes = [48**3, 96**3, 192**3, 384**3]
+    candidates = np.array(
+        [(s, p, f) for s in sizes for p in [1, 8, 32, 128] for f in [1.2, 2.4]],
+        dtype=float,
+    )
+    config = CampaignConfig(
+        operator="poisson1", candidates=candidates, batch_size=2, n_rounds=6
+    )
+    guard = GuardrailConfig(health=IMPOSSIBLE, check_drift=False, max_rollbacks=2)
+    return OnlineCampaign(config, ModelExecutor(), rng=1, guardrails=guard, **kw)
+
+
+def _campaign_digest(result) -> str:
+    return _digest(
+        {
+            "y": _floats(result.y),
+            "rounds": result.rounds,
+            "tallies": result.guardrails.as_dict(),
+        }
+    )
+
+
+CAMPAIGN_GOLDEN = {
+    "straight": "9a20b6b627ec484930c5d33f3b343d89451cbfc58bfb8f6701242e1d6d8a53d6",
+    "resumed": "9b51a6b34cf8dab28b42b07cb548c2d7b6229e785e429aad5ee97d0590b2ed23",
+}
+
+
+def test_campaign_gate_golden():
+    result = _campaign().run()
+    assert result.guardrails.n_rollbacks > 0
+    assert _campaign_digest(result) == CAMPAIGN_GOLDEN["straight"]
+
+
+def test_campaign_gate_golden_fast_refits_resumed(tmp_path):
+    path = tmp_path / "campaign.json"
+    campaign = _campaign(fast_refits=True, refit_every=2)
+    checkpoint = campaign._checkpoint
+    calls = {"n": 0}
+
+    class Killed(Exception):
+        pass
+
+    def kill_after_five(state, p):
+        checkpoint(state, p)
+        calls["n"] += 1
+        if calls["n"] == 5:
+            raise Killed()
+
+    campaign._checkpoint = kill_after_five
+    with pytest.raises(Killed):
+        campaign.run(checkpoint_path=path)
+    result = _campaign(fast_refits=True, refit_every=2).resume(path)
+    assert result.guardrails.n_unhealthy_fits > 0
+    assert _campaign_digest(result) == CAMPAIGN_GOLDEN["resumed"]
+
+
+# ------------------------------------------------------------------ sharded
+
+
+SHARDED_GOLDEN = "0e78f0874e141babaefa3ccb9353b1edb2e0531d02dd3cfd364eee25f8ea61a9"
+
+
+def test_sharded_gate_golden():
+    X, y, costs = mixed_operator_pool(90, seed=3)
+    part = random_partition(90, rng=7, n_initial=12, test_fraction=0.25)
+    result = ShardedLearner(
+        X, y, costs, part,
+        config=ShardingConfig(
+            n_shards=4, n_rounds=6, batch_size=2, seed=11, health=IMPOSSIBLE
+        ),
+        strategy=CostEfficiency(),
+        fault_config=ShardFaultConfig(crash_rate=0.15, corrupt_rate=0.1),
+    ).run()
+    assert result.guardrails.n_rollbacks > 0
+    digest = _digest(
+        {
+            "y": _floats(result.y),
+            "rmse": [r["rmse"] for r in result.rounds],
+            "availability": result.shard_availability,
+        }
+    )
+    assert digest == SHARDED_GOLDEN

@@ -216,3 +216,23 @@ def test_pre_guardrail_checkpoints_still_load(tmp_path):
         path
     )
     assert resumed.stop_reason == "completed"
+
+
+def test_force_accepted_tiny_fit_sets_no_lml_baseline(tmp_path):
+    """An unhealthy fit accepted for want of rollbacks below
+    ``HealthConfig.min_points`` must not become the per-point-LML baseline,
+    exactly like a healthy tiny fit."""
+    path = tmp_path / "tiny.json"
+    guard = GuardrailConfig(
+        health=HealthConfig(max_condition_number=1.0 + 1e-9, min_points=1000),
+        check_drift=False,
+        max_rollbacks=0,
+    )
+    campaign = OnlineCampaign(
+        _config(batch_size=2, n_rounds=6), ModelExecutor(), rng=1,
+        guardrails=guard,
+    )
+    result = campaign.run(checkpoint_path=path)
+    assert result.guardrails.n_unhealthy_fits >= 1
+    assert result.y.shape[0] < 1000
+    assert load_checkpoint(path).guardrail_state["prev_lml_per_point"] is None

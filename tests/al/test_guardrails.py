@@ -6,6 +6,7 @@ import pytest
 from repro.al.guardrails import (
     DriftConfig,
     DriftDetector,
+    FitGate,
     GuardrailConfig,
     GuardrailTallies,
     HealthConfig,
@@ -188,6 +189,67 @@ def test_remediation_leaves_fixed_noise_alone():
     out = apply_remediation(model, 3, cfg)
     assert out.noise_variance_bounds == "fixed"
     assert out.n_restarts > 1
+
+
+def _grown(X, y, k=3):
+    rng = np.random.default_rng(9)
+    X_new = np.vstack([X, rng.uniform(0, 6, size=(k, 1))])
+    return X_new, np.append(y, np.sin(X_new[-k:, 0]))
+
+
+def test_fit_gate_without_escalation_never_force_accepts():
+    """The shard gate: unbounded rollbacks, no remediation."""
+    model, X, y = _fit_model(n=12)
+    X_new, y_new = _grown(X, y)
+    bad, _, _ = _fit_model(n=15)
+    gate = FitGate(HealthConfig(max_condition_number=1.0 + 1e-9))
+    assert gate.admit(model, X, y) is model  # nothing to roll back to yet
+    for _ in range(5):
+        out = gate.admit(bad, X_new, y_new)
+        assert out is not bad and out.X_train_.shape[0] == 15
+    assert gate.tallies.n_rollbacks == 5 and gate.level == 5
+    fresh = GaussianProcessRegressor(n_restarts=1)
+    assert gate.remediate(fresh).n_restarts == 1
+    assert gate.tallies.n_remediations == 0
+
+
+def test_fit_gate_escalation_caps_rollbacks_and_remediates():
+    model, X, y = _fit_model(n=12)
+    X_new, y_new = _grown(X, y)
+    gate = FitGate.from_config(
+        GuardrailConfig(
+            health=HealthConfig(max_condition_number=1.0 + 1e-9, min_points=100),
+            max_rollbacks=1,
+        )
+    )
+    gate.admit(model, X, y)
+    bad, _, _ = _fit_model(n=15)
+    assert gate.admit(bad, X_new, y_new) is not bad
+    assert gate.remediate(GaussianProcessRegressor(n_restarts=1)).n_restarts == 3
+    assert gate.admit(bad, X_new, y_new) is bad  # out of rollbacks
+    assert gate.level == 0 and gate.lkg.n_rows == 15
+    # Fits below min_points never become the LML baseline, accepted or not.
+    assert gate.prev_lml_per_point is None
+    state = gate.state()
+    assert state["tallies"]["n_rollbacks"] == 1
+    other = FitGate()
+    other.load_state(state)
+    assert other.state() == state
+
+
+def test_fit_gate_accepts_when_snapshot_cannot_be_extended(monkeypatch):
+    model, X, y = _fit_model(n=12)
+    X_new, y_new = _grown(X, y)
+    gate = FitGate(HealthConfig(max_condition_number=1.0 + 1e-9))
+    gate.admit(model, X, y)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(gate.lkg, "restore", singular)
+    bad, _, _ = _fit_model(n=15)
+    assert gate.admit(bad, X_new, y_new) is bad
+    assert gate.tallies.n_rollbacks == 0 and gate.tallies.n_unhealthy_fits == 2
 
 
 # ------------------------------------------------------------------ drift
