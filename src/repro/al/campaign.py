@@ -53,7 +53,12 @@ from .guardrails import DriftDetector, FitGate, GuardrailConfig, GuardrailTallie
 from .learner import default_model_factory
 from .pool import CandidatePool
 from .resilience import FailureAccounting, QuarantinePolicy, RetryPolicy
-from .session import generator_state, read_json_checked, write_json_atomic
+from .session import (
+    capture_generators,
+    read_checkpoint,
+    restore_generators,
+    write_json_atomic,
+)
 from .strategies import Strategy, VarianceReduction, select_batch
 
 __all__ = [
@@ -66,6 +71,7 @@ __all__ = [
 ]
 
 _CHECKPOINT_VERSION = 1
+_CHECKPOINT_KIND = "campaign checkpoint"
 
 
 @dataclass(frozen=True)
@@ -163,10 +169,10 @@ class CampaignResult:
 class CampaignCheckpoint:
     """Serializable snapshot of an in-progress online campaign.
 
-    Stored as a single JSON document via the same atomic-write machinery
-    as :mod:`repro.al.session`; everything needed to continue the campaign
+    Stored as a single JSON document through the checkpoint codec of
+    :mod:`repro.al.session`; everything needed to continue the campaign
     bit-identically is captured, including the campaign RNG state (and the
-    executor's and strategy's tie-break RNG states when they have one).
+    executor's and strategy's tie-break and sampling RNG states).
     """
 
     version: int
@@ -190,6 +196,7 @@ class CampaignCheckpoint:
     rng_state: dict
     executor_rng_state: dict | None = None
     strategy_rng_state: dict | None = None
+    strategy_sampling_rng_state: dict | None = None
     # Guardrail bookkeeping (None for unguarded campaigns and pre-guardrail
     # checkpoints): tallies, escalation level, reference LML, stop reason.
     # The drift detector and last-known-good snapshot restart cold on
@@ -205,13 +212,9 @@ def save_checkpoint(checkpoint: CampaignCheckpoint, path) -> Path:
 
 def load_checkpoint(path) -> CampaignCheckpoint:
     """Read a checkpoint previously written by :func:`save_checkpoint`."""
-    payload = read_json_checked(path, kind="campaign checkpoint")
-    if payload.get("version") != _CHECKPOINT_VERSION:
-        raise ValueError(
-            f"unsupported campaign checkpoint version {payload.get('version')} "
-            f"(expected {_CHECKPOINT_VERSION})"
-        )
-    return CampaignCheckpoint(**payload)
+    return CampaignCheckpoint(
+        **read_checkpoint(path, _CHECKPOINT_KIND, _CHECKPOINT_VERSION)
+    )
 
 
 def _features(rows: np.ndarray) -> np.ndarray:
@@ -600,18 +603,33 @@ class OnlineCampaign:
 
     # ------------------------------------------------------------ checkpointing
 
+    def _checkpoint_config(self) -> dict:
+        """Config values a checkpoint stores and a resume must match."""
+        cfg = self.config
+        return {
+            "operator": cfg.operator,
+            "batch_size": cfg.batch_size,
+            "n_rounds": cfg.n_rounds,
+            "time_limit_seconds": cfg.time_limit_seconds,
+            "candidates": cfg.candidates.tolist(),
+        }
+
+    def _generators(self) -> dict:
+        strategy = self.strategy.generators()
+        return {
+            "rng_state": self.rng,
+            "executor_rng_state": getattr(self.executor, "rng", None),
+            "strategy_rng_state": strategy["tie"],
+            "strategy_sampling_rng_state": strategy["rng"],
+        }
+
     def _checkpoint(self, state: _CampaignState, path) -> None:
         if path is None:
             return
-        tie_rng = getattr(self.strategy, "_tie_rng", None)
         checkpoint = CampaignCheckpoint(
             version=_CHECKPOINT_VERSION,
-            operator=self.config.operator,
-            batch_size=self.config.batch_size,
-            n_rounds=self.config.n_rounds,
-            time_limit_seconds=self.config.time_limit_seconds,
+            **self._checkpoint_config(),
             seed_index=state.seed_index,
-            candidates=self.config.candidates.tolist(),
             next_round=state.next_round,
             measured_X=[np.asarray(x).tolist() for x in state.measured_X],
             measured_y=[float(v) for v in state.measured_y],
@@ -623,11 +641,7 @@ class OnlineCampaign:
             n_retries=state.accounting.n_retries,
             n_quarantined=state.accounting.n_quarantined,
             wasted_core_seconds=state.accounting.wasted_core_seconds,
-            rng_state=self.rng.bit_generator.state,
-            executor_rng_state=generator_state(self.executor),
-            strategy_rng_state=(
-                tie_rng().bit_generator.state if callable(tie_rng) else None
-            ),
+            **capture_generators(self._generators()),
             guardrail_state=self._guardrail_state_payload(state),
         )
         save_checkpoint(checkpoint, path)
@@ -684,44 +698,12 @@ class OnlineCampaign:
         ``checkpoint_path`` defaults to continuing to checkpoint into the
         same file; pass ``None`` to disable further checkpointing.
         """
-        checkpoint = load_checkpoint(path)
-        cfg = self.config
-        mismatches = [
-            name
-            for name, have, want in (
-                ("operator", cfg.operator, checkpoint.operator),
-                ("batch_size", cfg.batch_size, checkpoint.batch_size),
-                ("n_rounds", cfg.n_rounds, checkpoint.n_rounds),
-                (
-                    "time_limit_seconds",
-                    cfg.time_limit_seconds,
-                    checkpoint.time_limit_seconds,
-                ),
-            )
-            if have != want
-        ]
-        cand = np.asarray(checkpoint.candidates, dtype=float)
-        if cand.shape != cfg.candidates.shape or not np.allclose(
-            cand, cfg.candidates
-        ):
-            mismatches.append("candidates")
-        if mismatches:
-            raise ValueError(
-                f"checkpoint {path} does not match this campaign's config "
-                f"(mismatched: {', '.join(mismatches)})"
-            )
-
-        self.rng.bit_generator.state = checkpoint.rng_state
-        if checkpoint.executor_rng_state is not None:
-            gen = getattr(self.executor, "rng", None)
-            if isinstance(gen, np.random.Generator):
-                gen.bit_generator.state = checkpoint.executor_rng_state
-        if checkpoint.strategy_rng_state is not None and hasattr(
-            self.strategy, "_tie_rng"
-        ):
-            tie = self.strategy._tie_rng()
-            tie.bit_generator.state = checkpoint.strategy_rng_state
-
+        expect = self._checkpoint_config()
+        payload = read_checkpoint(
+            path, _CHECKPOINT_KIND, _CHECKPOINT_VERSION, expect=expect
+        )
+        restore_generators(self._generators(), payload)
+        checkpoint = CampaignCheckpoint(**payload)
         state = _CampaignState(
             seed_index=checkpoint.seed_index,
             next_round=checkpoint.next_round,

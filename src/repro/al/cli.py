@@ -16,8 +16,13 @@ telemetry trace for post-mortems::
 ``--replicates N`` runs N independent campaigns (a ``SeedSequence.spawn``
 seed tree rooted at ``--seed``) through the process-parallel sweep in
 :mod:`repro.al.replicates` and prints fleet aggregates; ``--workers`` and
-``--backend`` control the fan-out, and ``--checkpoint-dir`` makes the
-sweep crash-safe and exactly-once resumable.
+``--backend`` control the fan-out.
+
+``--checkpoint-dir DIR`` makes every mode crash-safe: the campaign
+checkpoints each round into DIR (``campaign.json``, the sharded
+``manifest.json``, ``multifidelity.json``, or one file per replicate), and
+re-running the same command resumes from DIR instead of starting over,
+through :func:`repro.al.session.run_or_resume`.
 
 Exit code 0 means the campaign produced a result (including best-effort
 early stops — inspect ``stop_reason`` in the output); crashes are bugs.
@@ -26,8 +31,11 @@ early stops — inspect ``stop_reason`` in the output); crashes are bugs.
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
 
 import numpy as np
+
+from .session import run_or_resume
 
 __all__ = ["main"]
 
@@ -137,6 +145,20 @@ class _CampaignFactory:
         )
 
 
+def _traced(args, run):
+    """Call ``run()``, inside a telemetry session when ``--trace`` is set."""
+    if not args.trace:
+        return run()
+    from .. import telemetry
+
+    with telemetry.session(args.trace):
+        return run()
+
+
+def _checkpoint_file(args, name: str) -> Path | None:
+    return Path(args.checkpoint_dir) / name if args.checkpoint_dir else None
+
+
 def _run_sweep(args, factory: _CampaignFactory) -> int:
     from .replicates import run_replicates
 
@@ -213,16 +235,10 @@ def _run_sharded(args) -> int:
         registry=args.registry,
     )
 
-    def run():
-        return learner.run(checkpoint_dir=args.checkpoint_dir)
-
-    if args.trace:
-        from .. import telemetry
-
-        with telemetry.session(args.trace):
-            result = run()
-    else:
-        result = run()
+    result, resumed = _traced(
+        args,
+        lambda: run_or_resume(learner, args.checkpoint_dir, marker="manifest.json"),
+    )
 
     from .metrics import rmse as rmse_metric
 
@@ -255,6 +271,8 @@ def _run_sharded(args) -> int:
             f"{t.n_breaker_opens} opens, {t.n_breaker_probes} probes, "
             f"{t.n_breaker_blacklisted} blacklisted"
         )
+    if args.checkpoint_dir:
+        print(f"resumed:            {str(resumed).lower()}")
     if args.trace:
         print(f"[telemetry trace written to {args.trace}]")
     return 0
@@ -286,11 +304,9 @@ def _run_multifidelity(args) -> int:
     mixed-operator pool: the tiers in SPEC (``name:cost_mult:noise_sd,...``)
     supply the observation noise and per-query cost, repeated observations
     fuse by inverse variance, and the acquisition picks (location, tier)
-    by variance reduction per unit cost.  With ``--checkpoint-dir`` the
-    campaign checkpoints every round to ``multifidelity.json`` there and a
-    re-run resumes bit-identically.  The ``stop_reason:`` / ``test rmse:``
-    / ``cumulative cost:`` lines are stable interfaces — the CI
-    multi-fidelity smoke parses them.
+    by variance reduction per unit cost.  The ``stop_reason:`` /
+    ``test rmse:`` / ``cumulative cost:`` lines are stable interfaces — the
+    CI multi-fidelity smoke parses them.
     """
     from .fidelity import MultiFidelityLearner, MultiFidelityOracle, tiers_from_spec
     from .partition import random_partition
@@ -319,28 +335,8 @@ def _run_multifidelity(args) -> int:
         seed=args.seed,
     )
 
-    checkpoint_path = None
-    resume = False
-    if args.checkpoint_dir:
-        from pathlib import Path
-
-        d = Path(args.checkpoint_dir)
-        d.mkdir(parents=True, exist_ok=True)
-        checkpoint_path = d / "multifidelity.json"
-        resume = checkpoint_path.exists()
-
-    def run():
-        if resume:
-            return learner.resume(checkpoint_path)
-        return learner.run(checkpoint_path=checkpoint_path)
-
-    if args.trace:
-        from .. import telemetry
-
-        with telemetry.session(args.trace):
-            result = run()
-    else:
-        result = run()
+    checkpoint = _checkpoint_file(args, "multifidelity.json")
+    result, _ = _traced(args, lambda: run_or_resume(learner, checkpoint))
 
     print(f"stop_reason:        {result.stop_reason}")
     print(f"rounds run:         {len(result.rounds)}/{args.rounds}")
@@ -434,9 +430,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
-        help="per-replicate checkpoints + result files; re-running the "
-        "sweep resumes exactly-once instead of starting over "
-        "(sharded mode: the sharded campaign's checkpoint directory)",
+        help="checkpoint every round into DIR (every mode: single, "
+        "replicate sweep, sharded, multi-fidelity); re-running the same "
+        "command resumes from DIR exactly once instead of starting over",
     )
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
@@ -506,29 +502,16 @@ def main(argv=None) -> int:
     faulty = factory.faulty
 
     if args.replicates > 1:
+        code = _traced(args, lambda: _run_sweep(args, factory))
         if args.trace:
-            from .. import telemetry
-
-            with telemetry.session(args.trace):
-                code = _run_sweep(args, factory)
             print(f"[telemetry trace written to {args.trace}]")
-            return code
-        return _run_sweep(args, factory)
+        return code
 
     # Single campaign: keep the historical output (and rng=seed behaviour).
     campaign = factory(0, args.seed)
     executor = campaign.executor
-
-    def run():
-        return campaign.run()
-
-    if args.trace:
-        from .. import telemetry
-
-        with telemetry.session(args.trace):
-            result = run()
-    else:
-        result = run()
+    checkpoint = _checkpoint_file(args, "campaign.json")
+    result, resumed = _traced(args, lambda: run_or_resume(campaign, checkpoint))
 
     print(f"stop_reason:        {result.stop_reason}")
     print(f"rounds run:         {len(result.rounds)}/{args.rounds}")
@@ -568,6 +551,8 @@ def main(argv=None) -> int:
             f"{t.n_breaker_opens} opens, {t.n_breaker_probes} probes, "
             f"{t.n_breaker_blacklisted} blacklisted"
         )
+    if args.checkpoint_dir:
+        print(f"resumed:            {str(resumed).lower()}")
     if args.trace:
         print(f"[telemetry trace written to {args.trace}]")
     return 0

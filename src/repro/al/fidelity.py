@@ -46,7 +46,12 @@ from .. import telemetry as tm
 from ..gp.gpr import GaussianProcessRegressor
 from .learner import default_model_factory
 from .metrics import evaluate_model
-from .session import read_json_checked, write_json_atomic
+from .session import (
+    capture_generators,
+    read_checkpoint,
+    restore_generators,
+    write_json_atomic,
+)
 
 __all__ = [
     "FidelityTier",
@@ -362,15 +367,6 @@ class MultiFidelityCostEfficiency:
     def __post_init__(self):
         self._rng = np.random.default_rng(self.seed)
 
-    @property
-    def rng_state(self) -> dict:
-        """JSON-safe tie-break RNG state (for checkpointing)."""
-        return self._rng.bit_generator.state
-
-    @rng_state.setter
-    def rng_state(self, state: dict) -> None:
-        self._rng.bit_generator.state = state
-
     def scores(
         self,
         model: GaussianProcessRegressor,
@@ -629,55 +625,45 @@ class MultiFidelityLearner:
 
     # ------------------------------------------------------------- checkpoints
 
-    def _checkpoint_payload(self) -> dict:
+    def _checkpoint_config(self) -> dict:
+        """Config values a checkpoint stores and a resume must match."""
         return {
-            "version": _CHECKPOINT_VERSION,
             "n_rounds": self.n_rounds,
             "n_initial": self.n_initial,
             "seed": self.seed,
             "tiers": [t.to_dict() for t in self.oracle.tiers],
-            "next_round": self._next_round,
-            "initial_done": self._initial_done,
-            "cumulative_cost": float(self._cumulative_cost),
-            "tier_counts": dict(self.tier_counts),
-            "fusion": self.fusion.to_dict(),
-            "oracle_rng": self.oracle.rng_state,
-            "acquisition_rng": self.acquisition.rng_state,
-            "learner_rng": self.rng.bit_generator.state,
-            "records": [r.payload() for r in self.records],
-            "y_seen": [float(v) for v in self.y_seen],
+        }
+
+    def _generators(self) -> dict:
+        return {
+            "oracle_rng": self.oracle.rng,
+            "acquisition_rng": self.acquisition._rng,
+            "learner_rng": self.rng,
         }
 
     def _save_checkpoint(self, path) -> None:
         if path is None:
             return
-        write_json_atomic(self._checkpoint_payload(), path)
+        payload = {
+            "version": _CHECKPOINT_VERSION,
+            **self._checkpoint_config(),
+            "next_round": self._next_round,
+            "initial_done": self._initial_done,
+            "cumulative_cost": float(self._cumulative_cost),
+            "tier_counts": dict(self.tier_counts),
+            "fusion": self.fusion.to_dict(),
+            **capture_generators(self._generators()),
+            "records": [r.payload() for r in self.records],
+            "y_seen": [float(v) for v in self.y_seen],
+        }
+        write_json_atomic(payload, path)
         tm.count("fidelity.checkpoint.saved")
 
     def _load_checkpoint(self, path) -> None:
-        payload = read_json_checked(path, kind="multi-fidelity checkpoint")
-        if payload.get("version") != _CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported multi-fidelity checkpoint version "
-                f"{payload.get('version')!r} in {path}"
-            )
-        stored_tiers = [FidelityTier.from_dict(t) for t in payload["tiers"]]
-        mismatches = []
-        if tuple(stored_tiers) != tuple(self.oracle.tiers):
-            mismatches.append("tiers")
-        for key, current in (
-            ("n_rounds", self.n_rounds),
-            ("n_initial", self.n_initial),
-            ("seed", self.seed),
-        ):
-            if payload[key] != current:
-                mismatches.append(key)
-        if mismatches:
-            raise ValueError(
-                f"checkpoint {path} was written by a differently-configured "
-                f"campaign (mismatched: {', '.join(mismatches)}); resume "
-                "requires the exact same configuration"
-            )
+        expect = self._checkpoint_config()
+        payload = read_checkpoint(
+            path, "multi-fidelity checkpoint", _CHECKPOINT_VERSION, expect=expect
+        )
         self._next_round = int(payload["next_round"])
         self._initial_done = bool(payload["initial_done"])
         self._cumulative_cost = float(payload["cumulative_cost"])
@@ -685,9 +671,7 @@ class MultiFidelityLearner:
             k: int(v) for k, v in payload["tier_counts"].items()
         }
         self.fusion = FusionState.from_dict(payload["fusion"])
-        self.oracle.rng_state = payload["oracle_rng"]
-        self.acquisition.rng_state = payload["acquisition_rng"]
-        self.rng.bit_generator.state = payload["learner_rng"]
+        restore_generators(self._generators(), payload)
         self.records = [
             FidelityRecord.from_payload(r) for r in payload["records"]
         ]
@@ -705,23 +689,20 @@ class MultiFidelityLearner:
         :meth:`resume` (used by the crash-recovery tests; a real crash
         leaves the same state behind).
         """
-        if not self._initial_done:
-            self._initial_design()
-            self._save_checkpoint(checkpoint_path)
         return self._continue(checkpoint_path, stop_after_round, resumed=False)
 
     def resume(self, checkpoint_path) -> MultiFidelityResult:
         """Restore a checkpoint and continue to completion, bit-identically."""
         self._load_checkpoint(checkpoint_path)
         tm.count("fidelity.checkpoint.resumed")
-        if not self._initial_done:
-            self._initial_design()
-            self._save_checkpoint(checkpoint_path)
         return self._continue(checkpoint_path, None, resumed=True)
 
     def _continue(
         self, checkpoint_path, stop_after_round, *, resumed: bool
     ) -> MultiFidelityResult:
+        if not self._initial_done:
+            self._initial_design()
+            self._save_checkpoint(checkpoint_path)
         while self._next_round < self.n_rounds:
             if (
                 stop_after_round is not None

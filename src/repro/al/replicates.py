@@ -32,7 +32,7 @@ import numpy as np
 
 from ..parallel import ParallelMap, spawn_seeds
 from .campaign import OnlineCampaign
-from .session import read_json_checked, write_json_atomic
+from .session import read_checkpoint, run_or_resume, write_json_atomic
 
 __all__ = ["ReplicateOutcome", "SweepResult", "run_replicates"]
 
@@ -140,13 +140,8 @@ class _ReplicateTask:
         checkpoint_path, result_path = _checkpoint_paths(self.checkpoint_dir, index)
         if result_path is not None and result_path.exists():
             # Completed in an earlier sweep invocation: never re-run it.
-            data = read_json_checked(result_path, kind="replicate result")
-            if data.get("version") != _RESULT_VERSION:
-                raise ValueError(
-                    f"unsupported replicate result version {data.get('version')} "
-                    f"in {result_path}"
-                )
-            data = {k: v for k, v in data.items() if k != "version"}
+            data = read_checkpoint(result_path, "replicate result", _RESULT_VERSION)
+            data.pop("version")
             return ReplicateOutcome(**data, loaded=True)
 
         campaign = self.factory(index, np.random.default_rng(seed_seq))
@@ -164,11 +159,7 @@ class _ReplicateTask:
                 "object with its run/resume protocol), got "
                 f"{type(campaign).__name__}"
             )
-        resumed = checkpoint_path is not None and checkpoint_path.exists()
-        if resumed:
-            result = campaign.resume(checkpoint_path)
-        else:
-            result = campaign.run(checkpoint_path=checkpoint_path)
+        result, resumed = run_or_resume(campaign, checkpoint_path)
         outcome = ReplicateOutcome(
             index=index,
             stop_reason=result.stop_reason,

@@ -1,13 +1,16 @@
-"""Checkpoint/resume for online active-learning campaigns.
+"""Checkpoint/resume: one codec for every AL loop, plus learner snapshots.
 
 The paper's target use case is *online* operation: "every iteration of AL
 includes selecting an experiment, running it, and using the experiment
 outcome to update the underlying GPR model."  Real campaigns run for hours
 or days across scheduler outages and operator handoffs, so the campaign
-state must survive the Python process.  :class:`ALSessionState` captures
-everything an :class:`~repro.al.learner.ActiveLearner` needs to continue —
-training data, remaining pool, test set, cumulative cost, per-iteration
-history — as a single JSON document.
+state must survive the Python process.  Every loop's checkpoint goes
+through one codec here: :func:`check_checkpoint` (version, then config),
+:func:`capture_generators` / :func:`restore_generators` (RNG states) and
+:func:`run_or_resume`.  :class:`ALSessionState` captures everything an
+:class:`~repro.al.learner.ActiveLearner` needs to continue — training
+data, remaining pool, test set, cumulative cost, per-iteration history —
+as a single JSON document.
 
 Example
 -------
@@ -42,6 +45,11 @@ __all__ = [
     "load_session",
     "write_json_atomic",
     "read_json_checked",
+    "read_checkpoint",
+    "check_checkpoint",
+    "capture_generators",
+    "restore_generators",
+    "run_or_resume",
 ]
 
 _FORMAT_VERSION = 1
@@ -103,16 +111,8 @@ def restore(
     The strategy object is supplied by the caller (strategies may hold
     unserializable state such as RNGs); its name must match the snapshot.
     """
-    if state.version != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported session format version {state.version} "
-            f"(expected {_FORMAT_VERSION})"
-        )
-    if strategy.name != state.strategy:
-        raise ValueError(
-            f"strategy mismatch: snapshot used {state.strategy!r}, "
-            f"got {strategy.name!r}"
-        )
+    expect = {"strategy": strategy.name}
+    check_checkpoint(vars(state), "session snapshot", _FORMAT_VERSION, expect=expect)
     X_train = np.asarray(state.X_train, dtype=float)
     pool_X = np.asarray(state.pool_X, dtype=float)
     X_test = np.asarray(state.X_test, dtype=float).reshape(-1, X_train.shape[1])
@@ -226,14 +226,6 @@ def write_json_atomic(payload: dict, path) -> Path:
     return path
 
 
-def generator_state(obj) -> dict | None:
-    """Bit-generator state of ``obj.rng`` / ``obj`` when it is a Generator."""
-    gen = getattr(obj, "rng", obj)
-    if isinstance(gen, np.random.Generator):
-        return gen.bit_generator.state
-    return None
-
-
 def read_json_checked(path, *, kind: str = "session") -> dict:
     """Read a JSON document, raising a descriptive error on corruption."""
     text = Path(path).read_text()
@@ -247,6 +239,72 @@ def read_json_checked(path, *, kind: str = "session") -> dict:
     if not isinstance(payload, dict) or "version" not in payload:
         raise ValueError(f"{path} is not an AL {kind} file")
     return payload
+
+
+def read_checkpoint(path, kind: str, version: int, *, expect=None) -> dict:
+    """Read a checkpoint document and :func:`check_checkpoint` it."""
+    payload = read_json_checked(path, kind=kind)
+    return check_checkpoint(payload, kind, version, path=path, expect=expect)
+
+
+def check_checkpoint(
+    payload: dict, kind: str, version: int, *, path=None, expect=None
+) -> dict:
+    """Check a document's ``version``, then each stored config value.
+
+    ``expect`` maps stored keys to the live run's values, compared exactly
+    (floats round-trip exactly through JSON); one ``ValueError`` names
+    every mismatching key.
+    """
+    where = kind if path is None else f"{kind} {path}"
+    if payload.get("version") != version:
+        raise ValueError(
+            f"{where} has unsupported version {payload.get('version')!r} "
+            f"(expected {version})"
+        )
+    bad = [key for key, live in (expect or {}).items() if payload.get(key) != live]
+    if bad:
+        raise ValueError(
+            f"{where} does not match this run "
+            f"({', '.join(f'{key} mismatch' for key in bad)})"
+        )
+    return payload
+
+
+def capture_generators(generators: dict) -> dict:
+    """States of named Generators (nested dicts recurse; non-Generators -> None)."""
+    states = {}
+    for name, gen in generators.items():
+        if isinstance(gen, dict):
+            states[name] = capture_generators(gen)
+        elif isinstance(gen, np.random.Generator):
+            states[name] = gen.bit_generator.state
+        else:
+            states[name] = None
+    return states
+
+
+def restore_generators(generators: dict, states: dict | None) -> None:
+    """Install captured states; a missing or None entry leaves its generator as is."""
+    for name, gen in generators.items():
+        state = (states or {}).get(name)
+        if isinstance(gen, dict):
+            restore_generators(gen, state)
+        elif isinstance(gen, np.random.Generator) and state is not None:
+            gen.bit_generator.state = state
+
+
+def run_or_resume(loop, checkpoint, *, marker: str | None = None):
+    """Resume ``loop`` from ``checkpoint`` if one exists, else run it.
+
+    ``checkpoint`` is a file, or a directory holding ``marker`` (the sharded
+    ``manifest.json``); ``None`` runs without checkpointing.  Returns
+    ``(result, resumed)``.
+    """
+    if checkpoint is not None and Path(checkpoint, marker or "").exists():
+        return loop.resume(checkpoint), True
+    key = "checkpoint_dir" if marker else "checkpoint_path"
+    return loop.run(**{key: checkpoint}), False
 
 
 def save_session(state: ALSessionState, path) -> Path:

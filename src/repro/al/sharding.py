@@ -69,7 +69,12 @@ from .metrics import evaluate_model
 from .partition import Partition
 from .pool import CandidatePool
 from .resilience import ShardBreaker, ShardBreakerConfig
-from .session import generator_state, read_json_checked, write_json_atomic
+from .session import (
+    capture_generators,
+    read_checkpoint,
+    restore_generators,
+    write_json_atomic,
+)
 from .strategies import Strategy, VarianceReduction
 
 __all__ = [
@@ -1025,25 +1030,12 @@ class ShardedLearner:
             raise RuntimeError("resume() requires a freshly constructed learner")
         self._started = True
         directory = Path(checkpoint_dir)
-        manifest = read_json_checked(
-            directory / "manifest.json", kind="sharded campaign checkpoint"
+        manifest = read_checkpoint(
+            directory / "manifest.json",
+            "sharded campaign checkpoint",
+            _MANIFEST_VERSION,
+            expect=self._checkpoint_config(),
         )
-        if manifest.get("kind") != "sharded-campaign":
-            raise ValueError(
-                f"{directory / 'manifest.json'} is not a sharded-campaign "
-                "checkpoint"
-            )
-        if manifest.get("dataset_hash") != self._dataset_hash:
-            raise ValueError(
-                "checkpoint does not match this dataset/partition/config "
-                "(dataset hash mismatch)"
-            )
-        for key in ("n_shards", "n_rounds", "batch_size", "seed"):
-            if int(manifest.get(key, -1)) != int(getattr(self.config, key)):
-                raise ValueError(
-                    f"checkpoint {key}={manifest.get(key)} conflicts with "
-                    f"config {key}={getattr(self.config, key)}"
-                )
 
         for idx, owner, _y_stored, _c_stored in manifest["measurements"]:
             x, y_meas, cost = self.pool.consume(int(idx))
@@ -1058,14 +1050,7 @@ class ShardedLearner:
             )
         self._rounds = list(manifest.get("rounds", []))
 
-        if manifest.get("rng_state") is not None:
-            self._rng.bit_generator.state = manifest["rng_state"]
-        for s, states in (manifest.get("strategy_rng") or {}).items():
-            strat = self.strategies[int(s)]
-            if states.get("tie") is not None:
-                strat._tie_rng().bit_generator.state = states["tie"]
-            if states.get("rng") is not None and hasattr(strat, "_rng"):
-                strat._rng.bit_generator.state = states["rng"]
+        restore_generators(self._generators(), manifest)
 
         sup = self.supervisor
         sup.breaker = ShardBreaker.from_dict(
@@ -1215,30 +1200,37 @@ class ShardedLearner:
 
     # ---------------------------------------------------------- checkpoints
 
+    def _checkpoint_config(self) -> dict:
+        """Manifest values a resume must match (the dataset via its hash)."""
+        cfg = self.config
+        return {
+            "kind": "sharded-campaign",
+            "n_shards": cfg.n_shards,
+            "n_rounds": cfg.n_rounds,
+            "batch_size": cfg.batch_size,
+            "seed": cfg.seed,
+            "dataset_hash": self._dataset_hash,
+        }
+
+    def _generators(self) -> dict:
+        return {
+            "rng_state": self._rng,
+            "strategy_rng": {
+                str(s): strat.generators() for s, strat in self.strategies.items()
+            },
+        }
+
     def _write_checkpoint(self, directory: Path, *, next_round: int) -> None:
-        directory.mkdir(parents=True, exist_ok=True)
         sup = self.supervisor
-        strategy_rng = {}
-        for s, strat in self.strategies.items():
-            strategy_rng[str(s)] = {
-                "tie": generator_state(getattr(strat, "_tie_rng_", None)),
-                "rng": generator_state(getattr(strat, "_rng", None)),
-            }
         write_json_atomic(
             {
                 "version": _MANIFEST_VERSION,
-                "kind": "sharded-campaign",
-                "n_shards": self.config.n_shards,
-                "n_rounds": self.config.n_rounds,
-                "batch_size": self.config.batch_size,
-                "seed": self.config.seed,
-                "dataset_hash": self._dataset_hash,
+                **self._checkpoint_config(),
                 "next_round": int(next_round),
                 "cumulative_cost": self._cumulative_cost,
                 "measurements": self._measurements,
                 "rounds": self._rounds,
-                "rng_state": generator_state(self._rng),
-                "strategy_rng": strategy_rng,
+                **capture_generators(self._generators()),
                 "breaker": sup.breaker.as_dict(),
                 "records": {str(s): r for s, r in sup.records.items()},
                 "total_fit_rounds": sup.total_rounds,

@@ -75,6 +75,10 @@ class Strategy:
             self._tie_rng_ = np.random.default_rng(getattr(self, "seed", 0))
         return self._tie_rng_
 
+    def generators(self) -> dict:
+        """Named RNGs for checkpoints: ``tie`` breaks, ``rng`` samples (or None)."""
+        return {"tie": self._tie_rng(), "rng": getattr(self, "_rng", None)}
+
     def with_seed(self, seed: int) -> "Strategy":
         """Fresh copy of this strategy re-seeded with ``seed``.
 

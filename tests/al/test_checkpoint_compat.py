@@ -1,0 +1,392 @@
+"""The checkpoint codec: older checkpoints resume, bad ones are rejected.
+
+The fixtures under ``data/`` were written before every loop shared one
+checkpoint codec (:mod:`repro.al.session`):
+
+* ``campaign.json`` / ``campaign-fast.json`` -- an :class:`OnlineCampaign`
+  under 20% injected faults, killed after six executions (plain, and with
+  ``fast_refits=True, refit_every=2``);
+* ``sharded/manifest.json`` -- a fault-injected :class:`ShardedLearner`
+  with per-shard ``RandomSampling``, interrupted in round 3;
+* ``multifidelity.json`` -- a :class:`MultiFidelityLearner` stopped after
+  round 2;
+* ``replicates/`` -- a two-replicate sweep whose replicate 0 finished
+  (``replicate-0000.result.json``) and whose replicate 1 was killed
+  mid-campaign (``replicate-0001.json``).
+
+``DIGESTS`` holds the SHA-256 of each *uninterrupted* run's result, taken
+with that same older code.  Each test resumes a copy of its fixture with
+the current code and compares.  ``test_codec_rejects`` then alters the
+same documents (version, each stored config key, truncation) and checks
+the error every loop raises.  Regenerate fixtures and digests together
+(only for a deliberate format change, and say so in the change log) with::
+
+    PYTHONPATH=src python tests/al/test_checkpoint_compat.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import re
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.al import ActiveLearner, default_model_factory
+from repro.al.campaign import CampaignConfig, OnlineCampaign
+from repro.al.fidelity import FidelityTier, MultiFidelityLearner, MultiFidelityOracle
+from repro.al.partition import random_partition
+from repro.al.replicates import run_replicates
+from repro.al.session import load_session, restore, save_session, snapshot
+from repro.al.sharding import ShardedLearner, ShardingConfig, mixed_operator_pool
+from repro.al.strategies import RandomSampling, VarianceReduction
+from repro.cluster.faults import FaultConfig, FaultyExecutor, ShardFaultConfig
+from repro.datasets.generate import ModelExecutor
+
+DATA = Path(__file__).parent / "data"
+
+FAULTS = FaultConfig(crash_rate=0.10, hang_rate=0.05, corrupt_rate=0.05)
+GRID = np.array(
+    [(s, p, f) for s in (48**3, 96**3, 192**3) for p in (1, 8, 32) for f in (1.2, 2.4)],
+    dtype=float,
+)
+
+DIGESTS = {
+    "campaign.json": "e34a2aec94b833394031227290238a3bc18ea1dd00836ccb31c9661408cf4d41",
+    "campaign-fast.json": "07db56574464b8bcf4cc380e665f49a511f0e920f8ee5d8035167528fdf3f6fd",
+    "sharded": "60f0764f494b894afac3fa9ff71eed73792145e0a113682d8edfe389db9a0de4",
+    "multifidelity.json": "f1797942bbe4e7242af20b53980a3c0ee8d483cdd720b9e25635a3bc10887b83",
+    "replicates": "40805d4aa49cd19465905ade3b9d35289be56647b4d496982cd7a6297f75db08",
+}
+
+
+def _digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _floats(values) -> list[str]:
+    return [repr(float(v)) for v in np.ravel(values)]
+
+
+class _Killed(RuntimeError):
+    pass
+
+
+class _KillSwitch:
+    """Executor wrapper that raises after a fixed number of executions."""
+
+    def __init__(self, inner, kill_after):
+        self.inner = inner
+        self.kill_after = kill_after
+        self.n_calls = 0
+
+    def estimate(self, spec):
+        return self.inner.estimate(spec)
+
+    def execute(self, spec, rng):
+        self.n_calls += 1
+        if self.n_calls > self.kill_after:
+            raise _Killed(f"killed after {self.kill_after} executions")
+        return self.inner.execute(spec, rng)
+
+
+# ---------------------------------------------------------------- campaign
+
+CAMPAIGNS = {
+    "campaign.json": {},
+    "campaign-fast.json": {"fast_refits": True, "refit_every": 2},
+}
+
+
+def _campaign(executor, **kw) -> OnlineCampaign:
+    config = CampaignConfig(
+        operator="poisson1", candidates=GRID, batch_size=2, n_rounds=5
+    )
+    return OnlineCampaign(config, executor, rng=7, **kw)
+
+
+def _campaign_digest(result) -> str:
+    feats = np.column_stack(
+        [np.log10(GRID[:, 0]), np.log2(GRID[:, 1]), GRID[:, 2]]
+    )
+    mu, sd = result.model.predict(feats, return_std=True)
+    return _digest(
+        {
+            "X": _floats(result.X),
+            "y": _floats(result.y),
+            "seconds": _floats([result.simulated_seconds, result.cpu_core_seconds]),
+            "rounds": result.rounds,
+            "accounting": [
+                result.n_failed,
+                result.n_retries,
+                result.n_quarantined,
+                repr(result.wasted_core_seconds),
+            ],
+            "stop_reason": result.stop_reason,
+            "mu": _floats(mu),
+            "sd": _floats(sd),
+        }
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_campaign_checkpoint_resumes_to_parent_digest(tmp_path, name):
+    path = shutil.copy(DATA / name, tmp_path / name)
+    campaign = _campaign(FaultyExecutor(ModelExecutor(), FAULTS), **CAMPAIGNS[name])
+    assert _campaign_digest(campaign.resume(path)) == DIGESTS[name]
+
+
+# ----------------------------------------------------------------- sharded
+
+
+def _sharded() -> ShardedLearner:
+    X, y, costs = mixed_operator_pool(90, seed=3)
+    part = random_partition(90, rng=7, n_initial=12, test_fraction=0.25)
+    return ShardedLearner(
+        X, y, costs, part,
+        config=ShardingConfig(n_shards=4, n_rounds=6, batch_size=2, seed=11),
+        strategy=RandomSampling(),
+        fault_config=ShardFaultConfig(crash_rate=0.15, corrupt_rate=0.1),
+    )
+
+
+def _sharded_digest(learner, result) -> str:
+    mu, sd = result.model.predict(learner.X_test, return_std=True)
+    return _digest(
+        {
+            "X": _floats(result.X),
+            "y": _floats(result.y),
+            "mu": _floats(mu),
+            "sd": _floats(sd),
+            "rounds": result.rounds,
+            "availability": result.shard_availability,
+            "guardrails": result.guardrails.as_dict(),
+            "stop_reason": result.stop_reason,
+        }
+    )
+
+
+def test_sharded_manifest_resumes_to_parent_digest(tmp_path):
+    directory = shutil.copytree(DATA / "sharded", tmp_path / "sharded")
+    learner = _sharded()
+    assert _sharded_digest(learner, learner.resume(directory)) == DIGESTS["sharded"]
+
+
+# ---------------------------------------------------------- multi-fidelity
+
+TIERS = (
+    FidelityTier("probe", cost_multiplier=0.1, noise_variance=0.0225),
+    FidelityTier("full", cost_multiplier=1.0, noise_variance=4e-4),
+)
+TEST_X = np.random.default_rng(1).uniform(-1, 1, size=(30, 2))
+
+
+def _ref(x):
+    x = np.asarray(x)
+    return float(np.sin(3 * x[0]) + 0.5 * x[1])
+
+
+def _multifidelity() -> MultiFidelityLearner:
+    oracle = MultiFidelityOracle(_ref, TIERS, rng=7)
+    cands = np.random.default_rng(0).uniform(-1, 1, size=(25, 2))
+    test = (TEST_X, np.array([_ref(x) for x in TEST_X]))
+    return MultiFidelityLearner(
+        oracle, cands, n_rounds=6, n_initial=2, seed=3, test=test
+    )
+
+
+def _multifidelity_digest(result) -> str:
+    mu, sd = result.model.predict(TEST_X, return_std=True)
+    return _digest(
+        {
+            "y": _floats(result.y),
+            "cost": repr(result.cumulative_cost),
+            "rounds": [r.payload() for r in result.rounds],
+            "tier_counts": result.tier_counts,
+            "rmse": repr(result.final_rmse),
+            "mu": _floats(mu),
+            "sd": _floats(sd),
+        }
+    )
+
+
+def test_multifidelity_checkpoint_resumes_to_parent_digest(tmp_path):
+    path = shutil.copy(DATA / "multifidelity.json", tmp_path / "mf.json")
+    result = _multifidelity().resume(path)
+    assert result.resumed
+    assert _multifidelity_digest(result) == DIGESTS["multifidelity.json"]
+
+
+# -------------------------------------------------------------- replicates
+
+
+class _SweepFactory:
+    """Picklable ``(index, rng) -> OnlineCampaign``; can kill replicate 1."""
+
+    def __init__(self, kill_after=None):
+        self.kill_after = kill_after
+
+    def __call__(self, index, rng):
+        executor = FaultyExecutor(ModelExecutor(), FaultConfig(crash_rate=0.2))
+        if index == 1 and self.kill_after is not None:
+            executor = _KillSwitch(executor, self.kill_after)
+        config = CampaignConfig(
+            operator="poisson1", candidates=GRID, batch_size=2, n_rounds=4
+        )
+        return OnlineCampaign(config, executor, rng=rng)
+
+
+def _sweep(checkpoint_dir=None, kill_after=None):
+    return run_replicates(
+        _SweepFactory(kill_after), 2, seed=5, backend="serial",
+        checkpoint_dir=checkpoint_dir,
+    )
+
+
+def _sweep_digest(sweep) -> str:
+    return _digest([r.payload() for r in sweep.replicates])
+
+
+def test_replicate_sweep_resumes_to_parent_digest(tmp_path):
+    directory = shutil.copytree(DATA / "replicates", tmp_path / "replicates")
+    sweep = _sweep(directory)
+    assert [(r.loaded, r.resumed) for r in sweep.replicates] == [
+        (True, False),
+        (False, True),
+    ]
+    assert _sweep_digest(sweep) == DIGESTS["replicates"]
+
+
+# --------------------------------------------------------------- rejections
+
+
+def _session_snapshot(path: Path) -> None:
+    rng = np.random.default_rng(0)
+    X = np.sort(rng.uniform(0, 10, size=30))[:, np.newaxis]
+    y = 0.4 * X[:, 0] + 0.05 * rng.standard_normal(30)
+    learner = ActiveLearner(
+        X, y, np.ones(30), random_partition(30, rng=0), VarianceReduction(),
+        model_factory=default_model_factory(1e-2),
+    )
+    learner.run(2)
+    save_session(snapshot(learner), path)
+
+
+#: kind -> (document inside a copy of ``data/``, how its loop opens that copy)
+DOCUMENTS = {
+    "campaign checkpoint": (
+        "campaign.json",
+        lambda root: _campaign(ModelExecutor()).resume(root / "campaign.json"),
+    ),
+    "sharded campaign checkpoint": (
+        "sharded/manifest.json",
+        lambda root: _sharded().resume(root / "sharded"),
+    ),
+    "multi-fidelity checkpoint": (
+        "multifidelity.json",
+        lambda root: _multifidelity().resume(root / "multifidelity.json"),
+    ),
+    "replicate result": (
+        "replicates/replicate-0000.result.json",
+        lambda root: _sweep(root / "replicates"),
+    ),
+    "session": (
+        "session.json",
+        lambda root: restore(load_session(root / "session.json"), VarianceReduction()),
+    ),
+}
+
+# (kind, stored key, altered value); a key of None truncates the file.
+# Keys some other test already alters are left out: campaign batch_size,
+# sharded n_rounds/dataset_hash, multi-fidelity n_rounds/seed, session
+# strategy/version and the replicate result version.
+REJECTIONS = [
+    ("campaign checkpoint", "version", 99),
+    ("campaign checkpoint", "operator", "poisson2"),
+    ("campaign checkpoint", "n_rounds", 99),
+    ("campaign checkpoint", "time_limit_seconds", 60.0),
+    ("campaign checkpoint", "candidates", GRID[:-1].tolist()),
+    ("sharded campaign checkpoint", "version", 99),
+    ("sharded campaign checkpoint", "kind", "campaign"),
+    ("sharded campaign checkpoint", "n_shards", 3),
+    ("sharded campaign checkpoint", "batch_size", 5),
+    ("sharded campaign checkpoint", "seed", 12),
+    ("multi-fidelity checkpoint", "version", 99),
+    ("multi-fidelity checkpoint", "tiers", [TIERS[1].to_dict()]),
+    ("multi-fidelity checkpoint", "n_initial", 3),
+] + [(kind, None, None) for kind in DOCUMENTS]
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    REJECTIONS,
+    ids=[f"{kind}-{key or 'truncated'}" for kind, key, _ in REJECTIONS],
+)
+def test_codec_rejects(tmp_path, kind, key, value):
+    root = shutil.copytree(DATA, tmp_path / "data")
+    _session_snapshot(root / "session.json")
+    document, open_loop = DOCUMENTS[kind]
+    path = root / document
+    text = path.read_text()
+    if key is None:
+        path.write_text(text[: len(text) // 2])
+        expected = rf"not a valid {re.escape(kind)} file"
+    else:
+        payload = json.loads(text)
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        expected = "version" if key == "version" else f"{key} mismatch"
+    with pytest.raises(ValueError, match=expected):
+        open_loop(root)
+
+
+# -------------------------------------------------------------- regenerate
+
+
+def _write_fixtures(data: Path) -> dict:
+    """Write every fixture into ``data``; return the uninterrupted digests."""
+    shutil.rmtree(data, ignore_errors=True)
+    data.mkdir(parents=True)
+    digests = {}
+    for name, kw in CAMPAIGNS.items():
+        reference = _campaign(FaultyExecutor(ModelExecutor(), FAULTS), **kw).run()
+        digests[name] = _campaign_digest(reference)
+        killer = _KillSwitch(FaultyExecutor(ModelExecutor(), FAULTS), 6)
+        try:
+            _campaign(killer, **kw).run(checkpoint_path=data / name)
+        except _Killed:
+            pass
+
+    learner = _sharded()
+    digests["sharded"] = _sharded_digest(learner, learner.run())
+    victim = _sharded()
+
+    def bomb(round_index):
+        if round_index == 3:
+            raise _Killed("interrupted in round 3")
+
+    victim._mid_round_hook = bomb
+    try:
+        victim.run(checkpoint_dir=data / "sharded")
+    except _Killed:
+        pass
+
+    digests["multifidelity.json"] = _multifidelity_digest(_multifidelity().run())
+    _multifidelity().run(
+        checkpoint_path=data / "multifidelity.json", stop_after_round=2
+    )
+
+    digests["replicates"] = _sweep_digest(_sweep())
+    try:
+        _sweep(data / "replicates", kill_after=5)
+    except _Killed:
+        pass
+    return digests
+
+
+if __name__ == "__main__":
+    print(json.dumps(_write_fixtures(DATA), indent=4))

@@ -15,6 +15,7 @@ from repro.al.campaign import (
     load_checkpoint,
 )
 from repro.al.resilience import QuarantinePolicy, RetryPolicy
+from repro.al.strategies import RandomSampling
 from repro.cluster.faults import FaultConfig, FaultyExecutor
 from repro.datasets.generate import ModelExecutor
 from repro.gp.gpr import GaussianProcessRegressor
@@ -192,14 +193,23 @@ class _KillSwitch:
         return self.inner.execute(spec, rng)
 
 
-@pytest.mark.parametrize("fast_refits", [False, True])
-def test_kill_and_resume_is_bit_identical(tmp_path, fast_refits):
+@pytest.mark.parametrize(
+    "fast_refits, strategy",
+    [
+        pytest.param(False, None, id="False"),
+        pytest.param(True, None, id="True"),
+        # The strategy's sampling stream must be checkpointed too.
+        pytest.param(False, RandomSampling, id="RandomSampling"),
+    ],
+)
+def test_kill_and_resume_is_bit_identical(tmp_path, fast_refits, strategy):
     config = _config(batch_size=2, n_rounds=5)
     path = tmp_path / "campaign.json"
 
     def campaign(executor):
         return OnlineCampaign(
-            config, executor, rng=7, fast_refits=fast_refits, refit_every=2
+            config, executor, rng=7, fast_refits=fast_refits, refit_every=2,
+            strategy=strategy(seed=3) if strategy else None,
         )
 
     # Reference: uninterrupted run.  Scheduler-stream fault mode (rng=None)
