@@ -69,13 +69,6 @@ from .sharding import (
 )
 from .replicates import ReplicateOutcome, SweepResult, run_replicates
 from .runner import BatchResult, aggregate_series, run_batch
-from .session import (
-    ALSessionState,
-    load_session,
-    restore,
-    save_session,
-    snapshot,
-)
 from .stopping import (
     AMSDConvergence,
     amsd_tail_converged,
@@ -187,9 +180,4 @@ __all__ = [
     "OnlineHPGMGOracle",
     "HPGMGExecutor",
     "Observation",
-    "ALSessionState",
-    "snapshot",
-    "restore",
-    "save_session",
-    "load_session",
 ]

@@ -278,8 +278,11 @@ class FusionState:
         entry = self._entries.get(self._key(x))
         return int(entry[3]) if entry is not None else 0
 
-    def add(self, x, y: float, noise_variance: float) -> None:
-        """Fold one observation with known noise variance into its location."""
+    def add(self, x, y: float, noise_variance: float) -> tuple[int, float]:
+        """Fold one observation with known noise variance into its location.
+
+        Returns the location's observation count and fused mean after it.
+        """
         if not np.isfinite(noise_variance) or noise_variance <= 0:
             raise ValueError(
                 f"noise_variance must be positive, got {noise_variance}"
@@ -292,6 +295,7 @@ class FusionState:
         entry[1] += 1.0 / noise_variance
         entry[2] += float(y) / noise_variance
         entry[3] += 1
+        return entry[3], entry[2] / entry[1]
 
     def fused(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(X, y_fused, alpha_fused)`` — one row per location, insertion order.
@@ -594,11 +598,13 @@ class MultiFidelityLearner:
     def cumulative_cost(self) -> float:
         return self._cumulative_cost
 
-    def _record_observation(self, obs: FidelityObservation) -> None:
-        self.fusion.add(obs.x, obs.y, obs.noise_variance)
+    def _record_observation(self, obs: FidelityObservation) -> tuple[int, float]:
+        """Fuse ``obs``; returns its location's ``(n_obs, fused mean)``."""
+        fused = self.fusion.add(obs.x, obs.y, obs.noise_variance)
         self.y_seen.append(float(obs.y))
         self.tier_counts[obs.tier] = self.tier_counts.get(obs.tier, 0) + 1
         self._cumulative_cost += obs.cost
+        return fused
 
     def _initial_design(self) -> None:
         idx = self.rng.choice(
@@ -723,19 +729,15 @@ class MultiFidelityLearner:
                 )
                 tier = self.oracle.tiers[tier_idx]
                 obs = self.oracle.query(self.candidates[cand], tier)
-                self._record_observation(obs)
-                key_entry = self.fusion.count_at(obs.x)
+                n_obs, y_fused = self._record_observation(obs)
                 record = FidelityRecord(
                     round_index=round_index,
                     candidate_index=int(cand),
                     tier=tier.name,
                     x=self.candidates[cand].copy(),
                     y_observed=float(obs.y),
-                    y_fused=float(
-                        self.fusion._entries[self.fusion._key(obs.x)][2]
-                        / self.fusion._entries[self.fusion._key(obs.x)][1]
-                    ),
-                    n_obs_at_x=key_entry,
+                    y_fused=float(y_fused),
+                    n_obs_at_x=n_obs,
                     cost=float(obs.cost),
                     cumulative_cost=float(self._cumulative_cost),
                     rmse=rmse,

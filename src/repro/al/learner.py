@@ -5,11 +5,14 @@ partition: seeded with the Initial set, it repeatedly fits the GPR, records
 the convergence metrics, asks the strategy for the next experiment from the
 Active pool, and adds the measured outcome to the training set.  The full
 history comes back as an :class:`ALTrace` — the raw material of Figs. 6-8.
+``run(checkpoint_path=)`` checkpoints after every iteration through the
+shared codec (:mod:`repro.al.session`), and :meth:`ActiveLearner.resume`
+continues a killed run bit-identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -21,9 +24,19 @@ from .guardrails import FitGate, GuardrailConfig
 from .metrics import evaluate_model
 from .partition import Partition
 from .pool import CandidatePool
+from .session import (
+    capture_generators,
+    dataset_digest,
+    read_checkpoint,
+    restore_generators,
+    write_json_atomic,
+)
 from .strategies import Strategy
 
 __all__ = ["IterationRecord", "ALTrace", "ActiveLearner", "default_model_factory"]
+
+_CHECKPOINT_VERSION = 1
+_CHECKPOINT_KIND = "learner checkpoint"
 
 
 class _DefaultModelFactory:
@@ -102,6 +115,15 @@ class IterationRecord:
     #: co-located measurements are fused into one row; ``cost`` sums them
     #: and ``y_selected`` is the precision-weighted mean).
     n_fused: int = 1
+
+    def payload(self) -> dict:
+        """JSON-ready dict (floats round-trip exactly)."""
+        return {**asdict(self), "x_selected": np.asarray(self.x_selected).tolist()}
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "IterationRecord":
+        x = np.asarray(payload["x_selected"], dtype=float)
+        return cls(**{**payload, "x_selected": x})
 
 
 @dataclass
@@ -207,6 +229,13 @@ class ActiveLearner:
         to it while the learner keeps iterating.  Rollback iterations
         publish nothing — the served last-known-good is already in the
         registry.
+
+    ``run(checkpoint_path=path)`` atomically rewrites a checkpoint after
+    every iteration, and :meth:`resume` continues from it.  The checkpoint
+    stores no dataset rows: it holds the stored config (strategy name,
+    dataset digest and the refit/fusion options), the iteration target,
+    the :class:`IterationRecord` history, the strategy's generators and the
+    gate's :meth:`~repro.al.guardrails.FitGate.state`.
     """
 
     def __init__(
@@ -296,6 +325,10 @@ class ActiveLearner:
         self._cumulative_cost = 0.0
         self.model: GaussianProcessRegressor | None = None
         self.trace = ALTrace(strategy=strategy.name)
+        # Digested on the first checkpoint only (unsaved runs skip the hash),
+        # from the partitioned rows the learner keeps anyway.
+        self._n_initial = partition.initial.size
+        self._dataset_hash: str | None = None
 
     # ------------------------------------------------------------------- state
 
@@ -314,30 +347,31 @@ class ActiveLearner:
         """Unhealthy refits rolled back to the last healthy model so far."""
         return self._gate.tallies.n_rollbacks
 
-    def _fit_model(self, iteration: int) -> GaussianProcessRegressor:
-        if (
+    def _full_fit_due(self, iteration: int) -> bool:
+        """Whether this iteration refits hyperparameters (vs. a rank-1 update)."""
+        return not (
             self.fast_refits
             and self.model is not None
             and self.model.fitted
             and iteration % self.refit_every != 0
-        ):
-            # Off-schedule iteration: extend the posterior with the rows
-            # queried since the last (re)fit, hyperparameters held fixed.
-            tm.count("al.fit.incremental")
-            n_fitted = self.model.X_train_.shape[0]
-            if n_fitted < self.n_train:
-                self.model.update(
-                    self._X_train[n_fitted:],
-                    self._y_train[n_fitted:],
-                    alpha=(
-                        self._alpha_train[n_fitted:]
-                        if self._alpha_train is not None
-                        else None
-                    ),
-                )
-            return self.model
+        )
 
-        tm.count("al.fit.full")
+    def _extend_model(self) -> None:
+        """Fold rows queried since the last (re)fit into ``model``'s posterior."""
+        n_fitted = self.model.X_train_.shape[0]
+        if n_fitted < self.n_train:
+            self.model.update(
+                self._X_train[n_fitted:],
+                self._y_train[n_fitted:],
+                alpha=(
+                    self._alpha_train[n_fitted:]
+                    if self._alpha_train is not None
+                    else None
+                ),
+            )
+
+    def _refit(self, iteration: int) -> GaussianProcessRegressor:
+        """Full hyperparameter fit on the current training set (ungated)."""
         warm = self.fast_refits and self.warm_start and self.model is not None
         model = self.model if warm else self.model_factory()
         if not warm:
@@ -361,15 +395,33 @@ class ActiveLearner:
         model.fit(
             self._X_train, self._y_train, alpha=self._alpha_train, warm_start=warm
         )
-        # Refresh the strategy's cost model on the same cadence as the
-        # primary refit: historically nothing refitted it and its
-        # predictions went stale as the pool drained.
+        return model
+
+    def _refit_cost_model(self) -> bool:
+        """Refresh the strategy's cost model, if it has one; True if refitted.
+
+        Runs on the same cadence as the primary refit: historically nothing
+        refitted it and its predictions went stale as the pool drained.
+        """
         if getattr(self.strategy, "auto_refit", False) and hasattr(
             self.strategy, "refit_cost_model"
         ):
             self.strategy.refit_cost_model(self._X_cost, self._costs_known)
+            return True
+        return False
+
+    def _fit_model(self, iteration: int) -> GaussianProcessRegressor:
+        if not self._full_fit_due(iteration):
+            # Off-schedule iteration: extend the posterior with the rows
+            # queried since the last (re)fit, hyperparameters held fixed.
+            tm.count("al.fit.incremental")
+            self._extend_model()
+            return self.model
+
+        tm.count("al.fit.full")
+        fresh = self._refit(iteration)
+        if self._refit_cost_model():
             tm.count("al.cost_model.refit")
-        fresh = model
         model = self._gate.admit(
             fresh, self._X_train, self._y_train, self._alpha_train, iteration=iteration
         )
@@ -383,6 +435,34 @@ class ActiveLearner:
                 extra={"strategy": self.strategy.name, "iteration": iteration},
             )
         return model
+
+    def _ingest(self, idx: int) -> tuple[np.ndarray, float, float, int]:
+        """Move pool record ``idx`` into the training set.
+
+        Under ``fuse_repeats`` every available repeat of it is consumed and
+        fused into one row.  Returns ``(x, y, cost, n_records)``.  Shared by
+        :meth:`step` and the replay of :meth:`resume`.
+        """
+        if self.fuse_repeats:
+            consumed = self.pool.consume_repeats(idx)
+            x = consumed[0][0]
+            # Equal per-record variances: the precision-weighted mean is
+            # the arithmetic mean and the fused variance divides by k.
+            y_meas = float(np.mean([y_i for _, y_i, _ in consumed]))
+            cost = float(sum(c_i for _, _, c_i in consumed))
+            self._alpha_train = np.append(
+                self._alpha_train, self.repeat_noise_variance / len(consumed)
+            )
+        else:
+            x, y_meas, cost = self.pool.consume(idx)
+            consumed = [(x, y_meas, cost)]
+        self._X_train = np.vstack([self._X_train, x])
+        self._y_train = np.append(self._y_train, y_meas)
+        self._cumulative_cost += cost
+        for x_i, _, c_i in consumed:
+            self._X_cost = np.vstack([self._X_cost, x_i])
+            self._costs_known = np.append(self._costs_known, c_i)
+        return x, y_meas, cost, len(consumed)
 
     # -------------------------------------------------------------------- loop
 
@@ -413,27 +493,9 @@ class ActiveLearner:
                 x_sel = self.pool.X[idx]
                 _, sd_arr = model.predict(x_sel[np.newaxis, :], return_std=True)
                 sd_sel = float(sd_arr[0])
+            x, y_meas, cost, n_fused = self._ingest(idx)
             if self.fuse_repeats:
-                consumed = self.pool.consume_repeats(idx)
-                x = consumed[0][0]
-                ys = np.asarray([y_i for _, y_i, _ in consumed])
-                cost = float(sum(c_i for _, _, c_i in consumed))
-                # Equal per-record variances: the precision-weighted mean is
-                # the arithmetic mean and the fused variance divides by k.
-                k = len(consumed)
-                y_meas = float(np.mean(ys))
-                fused_var = self.repeat_noise_variance / k
-                self._alpha_train = np.append(self._alpha_train, fused_var)
-                tm.count("al.fuse.records", k)
-            else:
-                x, y_meas, cost = self.pool.consume(idx)
-                consumed = [(x, y_meas, cost)]
-            self._X_train = np.vstack([self._X_train, x])
-            self._y_train = np.append(self._y_train, y_meas)
-            self._cumulative_cost += cost
-            for x_i, _, c_i in consumed:
-                self._X_cost = np.vstack([self._X_cost, x_i])
-                self._costs_known = np.append(self._costs_known, c_i)
+                tm.count("al.fuse.records", n_fused)
 
             record = IterationRecord(
                 iteration=iteration,
@@ -450,7 +512,7 @@ class ActiveLearner:
                 nlpd=metrics["nlpd"],
                 noise_variance=model.noise_variance_,
                 lml=model.lml_,
-                n_fused=len(consumed),
+                n_fused=n_fused,
             )
             self.trace.records.append(record)
             if tm.enabled():
@@ -471,17 +533,92 @@ class ActiveLearner:
                 sp.set(rmse=record.rmse, amsd=record.amsd)
         return record
 
-    def run(self, n_iterations: int | None = None) -> ALTrace:
-        """Run AL for ``n_iterations`` (default: until the pool is empty)."""
+    def run(
+        self, n_iterations: int | None = None, *, checkpoint_path=None
+    ) -> ALTrace:
+        """Run AL for ``n_iterations`` (default: until the pool is empty).
+
+        With ``checkpoint_path`` a checkpoint is atomically rewritten after
+        every iteration; :meth:`resume` continues a killed run from it.
+        """
         if n_iterations is None:
             n_iterations = self.pool.n_available
         if n_iterations < 0:
             raise ValueError("n_iterations must be >= 0")
-        n_iterations = min(n_iterations, self.pool.n_available)
-        for _ in range(n_iterations):
-            if self.pool.exhausted:
-                # fuse_repeats consumes several records per step, so the
-                # pool can drain before the clamped iteration count runs out.
-                break
+        target = len(self.trace) + min(n_iterations, self.pool.n_available)
+        return self._run_to(target, checkpoint_path)
+
+    def resume(self, path) -> ALTrace:
+        """Continue a checkpointed run to its iteration target, bit-identically.
+
+        Call on a *freshly constructed* learner with the same dataset,
+        partition, strategy and options (the stored config is checked).
+        Every recorded selection is re-ingested from the dataset, never
+        re-measured; under ``fast_refits`` the fit chain is re-run too
+        (publishing and counting nothing) so the carried model and
+        posterior match.  The gate's tallies, level and baseline are
+        restored but its last-known-good snapshot restarts cold, and so
+        does a strategy's non-RNG state (``EMCM``'s persistent bootstrap
+        ensemble): such runs resume correctly rather than bit-identically.
+        Checkpointing continues into ``path``.
+        """
+        if self.trace.records:
+            raise RuntimeError("resume() requires a freshly constructed learner")
+        payload = read_checkpoint(
+            path, _CHECKPOINT_KIND, _CHECKPOINT_VERSION, expect=self._checkpoint_config()
+        )
+        for record in map(IterationRecord.from_payload, payload["records"]):
+            if self._full_fit_due(record.iteration):
+                if self.fast_refits:
+                    self.model = self._refit(record.iteration)
+                self._refit_cost_model()
+            else:
+                self._extend_model()
+            self._ingest(record.selected_pool_index)
+            self.trace.records.append(record)
+        restore_generators(self.strategy.generators(), payload["generators"])
+        self._gate.load_state(payload["gate"])
+        return self._run_to(int(payload["target"]), path)
+
+    def _run_to(self, target: int, checkpoint_path) -> ALTrace:
+        # fuse_repeats consumes several records per step, so the pool can
+        # drain before the target is reached.
+        while len(self.trace) < target and not self.pool.exhausted:
             self.step()
+            if checkpoint_path is not None:
+                self._write_checkpoint(checkpoint_path, target)
         return self.trace
+
+    # ----------------------------------------------------------- checkpoints
+
+    def _checkpoint_config(self) -> dict:
+        """Config values a checkpoint stores and a resume must match."""
+        if self._dataset_hash is None:
+            k = self._n_initial  # the training and cost rows only grow
+            self._dataset_hash = dataset_digest(
+                self._X_cost[:k], self._y_train[:k], self._costs_known[:k],
+                self.pool.X, self.pool.y, self.pool.costs,
+                self._X_test, self._y_test,
+            )
+        return {
+            "strategy": self.strategy.name,
+            "dataset_hash": self._dataset_hash,
+            "fast_refits": self.fast_refits,
+            "refit_every": self.refit_every,
+            "warm_start": self.warm_start,
+            "fuse_repeats": self.fuse_repeats,
+            "repeat_noise_variance": self.repeat_noise_variance,
+        }
+
+    def _write_checkpoint(self, path, target: int) -> None:
+        write_json_atomic(
+            {
+                "version": _CHECKPOINT_VERSION,
+                **self._checkpoint_config(),
+                "target": target,
+                "records": [r.payload() for r in self.trace.records],
+                "generators": capture_generators(self.strategy.generators()),
+                "gate": self._gate.state(),
+            },
+            path,
+        )

@@ -1,182 +1,44 @@
-"""Checkpoint/resume: one codec for every AL loop, plus learner snapshots.
+"""Checkpoint/resume: one codec for every AL loop.
 
 The paper's target use case is *online* operation: "every iteration of AL
 includes selecting an experiment, running it, and using the experiment
 outcome to update the underlying GPR model."  Real campaigns run for hours
 or days across scheduler outages and operator handoffs, so the campaign
 state must survive the Python process.  Every loop's checkpoint goes
-through one codec here: :func:`check_checkpoint` (version, then config),
-:func:`capture_generators` / :func:`restore_generators` (RNG states) and
-:func:`run_or_resume`.  :class:`ALSessionState` captures everything an
-:class:`~repro.al.learner.ActiveLearner` needs to continue — training
-data, remaining pool, test set, cumulative cost, per-iteration history —
-as a single JSON document.
+through one codec here: :func:`write_json_atomic`, :func:`check_checkpoint`
+(version, then config), :func:`capture_generators` /
+:func:`restore_generators` (RNG states), :func:`dataset_digest` and
+:func:`run_or_resume`.
 
 Example
 -------
->>> state = snapshot(learner)
->>> save_session(state, "campaign.json")
-...  # process restarts ...
->>> learner = restore(load_session("campaign.json"), VarianceReduction())
->>> learner.step()
+>>> learner = ActiveLearner(X, y, costs, partition, VarianceReduction())
+>>> trace, resumed = run_or_resume(learner, "learner.json")
+
+Killed mid-run, the same two lines in a new process find ``learner.json``,
+resume (``resumed`` is True) and finish bit-identically.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from .learner import ActiveLearner, ALTrace, IterationRecord, default_model_factory
-from .partition import Partition
-from .pool import CandidatePool
-from .strategies import Strategy
-
 __all__ = [
-    "ALSessionState",
-    "snapshot",
-    "restore",
-    "save_session",
-    "load_session",
     "write_json_atomic",
     "read_json_checked",
     "read_checkpoint",
     "check_checkpoint",
     "capture_generators",
     "restore_generators",
+    "dataset_digest",
     "run_or_resume",
 ]
-
-_FORMAT_VERSION = 1
-
-
-@dataclass
-class ALSessionState:
-    """Serializable snapshot of an in-progress AL campaign."""
-
-    version: int
-    strategy: str
-    X_train: list
-    y_train: list
-    pool_X: list
-    pool_y: list
-    pool_costs: list
-    pool_available: list  # bool per pool record
-    X_active_full: list
-    X_test: list
-    y_test: list
-    cumulative_cost: float
-    records: list  # serialized IterationRecord dicts
-
-
-def snapshot(learner: ActiveLearner) -> ALSessionState:
-    """Capture a learner's full state."""
-    pool = learner.pool
-    records = []
-    for r in learner.trace.records:
-        d = asdict(r)
-        d["x_selected"] = np.asarray(r.x_selected).tolist()
-        records.append(d)
-    return ALSessionState(
-        version=_FORMAT_VERSION,
-        strategy=learner.strategy.name,
-        X_train=learner._X_train.tolist(),
-        y_train=learner._y_train.tolist(),
-        pool_X=pool.X.tolist(),
-        pool_y=pool.y.tolist(),
-        pool_costs=pool.costs.tolist(),
-        pool_available=pool._available.tolist(),
-        X_active_full=learner._X_active_full.tolist(),
-        X_test=learner._X_test.tolist(),
-        y_test=learner._y_test.tolist(),
-        cumulative_cost=learner.cumulative_cost,
-        records=records,
-    )
-
-
-def restore(
-    state: ALSessionState,
-    strategy: Strategy,
-    *,
-    model_factory: Callable | None = None,
-    noise_floor_schedule: Callable[[int], float] | None = None,
-) -> ActiveLearner:
-    """Rebuild a learner from a snapshot.
-
-    The strategy object is supplied by the caller (strategies may hold
-    unserializable state such as RNGs); its name must match the snapshot.
-    """
-    expect = {"strategy": strategy.name}
-    check_checkpoint(vars(state), "session snapshot", _FORMAT_VERSION, expect=expect)
-    X_train = np.asarray(state.X_train, dtype=float)
-    pool_X = np.asarray(state.pool_X, dtype=float)
-    X_test = np.asarray(state.X_test, dtype=float).reshape(-1, X_train.shape[1])
-    y_test = np.asarray(state.y_test, dtype=float)
-    # Build via a synthetic partition over the *concatenated* arrays so the
-    # constructor's validation applies, then overwrite the internals with
-    # the snapshot's exact state.  Partition forbids an empty test set, so
-    # when the snapshot has none (online campaigns measure everything) the
-    # training row stands in and the true empty arrays are installed below.
-    if X_test.shape[0]:
-        test_X_rows, test_y_rows = X_test, y_test
-    else:
-        test_X_rows = X_train[:1]
-        test_y_rows = np.asarray(state.y_train[:1], dtype=float)
-    X_all = np.vstack([X_train[:1], pool_X, test_X_rows])
-    y_all = np.concatenate(
-        [
-            np.asarray(state.y_train[:1], dtype=float),
-            np.asarray(state.pool_y, dtype=float),
-            test_y_rows,
-        ]
-    )
-    costs_all = np.concatenate(
-        [
-            np.zeros(1),
-            np.asarray(state.pool_costs, dtype=float),
-            np.zeros(len(test_y_rows)),
-        ]
-    )
-    n_pool = pool_X.shape[0]
-    part = Partition(
-        initial=np.array([0]),
-        active=np.arange(1, 1 + n_pool),
-        test=np.arange(1 + n_pool, 1 + n_pool + len(test_y_rows)),
-    )
-    learner = ActiveLearner(
-        X_all,
-        y_all,
-        costs_all,
-        part,
-        strategy,
-        model_factory=model_factory or default_model_factory(),
-        noise_floor_schedule=noise_floor_schedule,
-    )
-    # Install the exact snapshot state.
-    learner._X_train = X_train
-    learner._y_train = np.asarray(state.y_train, dtype=float)
-    learner.pool = CandidatePool(
-        pool_X,
-        np.asarray(state.pool_y, dtype=float),
-        np.asarray(state.pool_costs, dtype=float),
-    )
-    learner.pool._available = np.asarray(state.pool_available, dtype=bool)
-    learner._X_active_full = np.asarray(state.X_active_full, dtype=float)
-    learner._X_test = X_test
-    learner._y_test = y_test
-    learner._cumulative_cost = float(state.cumulative_cost)
-    records = []
-    for d in state.records:
-        d = dict(d)
-        d["x_selected"] = np.asarray(d["x_selected"], dtype=float)
-        records.append(IterationRecord(**d))
-    learner.trace = ALTrace(strategy=state.strategy, records=records)
-    return learner
 
 
 def write_json_atomic(payload: dict, path) -> Path:
@@ -189,9 +51,8 @@ def write_json_atomic(payload: dict, path) -> Path:
     complete version survives.  Without the fsync the rename could be
     durable before the data blocks, and a *power loss* (not just a process
     crash) could surface a zero-length file; the directory itself is also
-    fsynced best-effort so the rename is durable too.  Shared by session
-    snapshots, campaign checkpoints, and the model registry
-    (:mod:`repro.serve`).
+    fsynced best-effort so the rename is durable too.  Shared by every
+    loop's checkpoint and the model registry (:mod:`repro.serve`).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -226,7 +87,7 @@ def write_json_atomic(payload: dict, path) -> Path:
     return path
 
 
-def read_json_checked(path, *, kind: str = "session") -> dict:
+def read_json_checked(path, *, kind: str = "checkpoint") -> dict:
     """Read a JSON document, raising a descriptive error on corruption."""
     text = Path(path).read_text()
     try:
@@ -294,6 +155,18 @@ def restore_generators(generators: dict, states: dict | None) -> None:
             gen.bit_generator.state = state
 
 
+def dataset_digest(*arrays) -> str:
+    """SHA-256 over the exact bytes of ``arrays``, in order.
+
+    A loop stores it as ``dataset_hash`` so a resume over other data is
+    rejected.
+    """
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
 def run_or_resume(loop, checkpoint, *, marker: str | None = None):
     """Resume ``loop`` from ``checkpoint`` if one exists, else run it.
 
@@ -305,13 +178,3 @@ def run_or_resume(loop, checkpoint, *, marker: str | None = None):
         return loop.resume(checkpoint), True
     key = "checkpoint_dir" if marker else "checkpoint_path"
     return loop.run(**{key: checkpoint}), False
-
-
-def save_session(state: ALSessionState, path) -> Path:
-    """Atomically write a snapshot to a JSON file; returns the path."""
-    return write_json_atomic(asdict(state), path)
-
-
-def load_session(path) -> ALSessionState:
-    """Read a snapshot previously written by :func:`save_session`."""
-    return ALSessionState(**read_json_checked(path, kind="session"))

@@ -51,7 +51,6 @@ bit-identically.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,6 +70,7 @@ from .pool import CandidatePool
 from .resilience import ShardBreaker, ShardBreakerConfig
 from .session import (
     capture_generators,
+    dataset_digest,
     read_checkpoint,
     restore_generators,
     write_json_atomic,
@@ -92,12 +92,7 @@ _MANIFEST_VERSION = 1
 
 def _data_hash(X, y) -> str:
     """SHA-256 over the exact float64 bytes of a training set."""
-    X = np.ascontiguousarray(np.asarray(X, dtype=float))
-    y = np.ascontiguousarray(np.asarray(y, dtype=float))
-    digest = hashlib.sha256()
-    digest.update(X.tobytes())
-    digest.update(y.tobytes())
-    return digest.hexdigest()
+    return dataset_digest(np.asarray(X, dtype=float), np.asarray(y, dtype=float))
 
 
 def _model_seed(base_seed: int, shard: int, round_index: int, attempt: int) -> int:
@@ -952,10 +947,9 @@ class ShardedLearner:
             self._shard_X[int(lab)].append(np.asarray(row, dtype=float))
             self._shard_y[int(lab)].append(float(val))
 
-        digest = hashlib.sha256()
-        for arr in (X, y, costs, partition.initial, partition.active, partition.test):
-            digest.update(np.ascontiguousarray(arr).tobytes())
-        self._dataset_hash = digest.hexdigest()
+        self._dataset_hash = dataset_digest(
+            X, y, costs, partition.initial, partition.active, partition.test
+        )
 
         self._measurements: list[list] = []
         self._rounds: list[dict] = []

@@ -17,8 +17,9 @@ checkpoint codec (:mod:`repro.al.session`):
 ``DIGESTS`` holds the SHA-256 of each *uninterrupted* run's result, taken
 with that same older code.  Each test resumes a copy of its fixture with
 the current code and compares.  ``test_codec_rejects`` then alters the
-same documents (version, each stored config key, truncation) and checks
-the error every loop raises.  Regenerate fixtures and digests together
+same documents, plus an :class:`ActiveLearner` checkpoint the test writes
+itself (no older learner format exists), by version, each stored config
+key and truncation, and checks the error every loop raises.  Regenerate fixtures and digests together
 (only for a deliberate format change, and say so in the change log) with::
 
     PYTHONPATH=src python tests/al/test_checkpoint_compat.py
@@ -40,7 +41,6 @@ from repro.al.campaign import CampaignConfig, OnlineCampaign
 from repro.al.fidelity import FidelityTier, MultiFidelityLearner, MultiFidelityOracle
 from repro.al.partition import random_partition
 from repro.al.replicates import run_replicates
-from repro.al.session import load_session, restore, save_session, snapshot
 from repro.al.sharding import ShardedLearner, ShardingConfig, mixed_operator_pool
 from repro.al.strategies import RandomSampling, VarianceReduction
 from repro.cluster.faults import FaultConfig, FaultyExecutor, ShardFaultConfig
@@ -264,16 +264,14 @@ def test_replicate_sweep_resumes_to_parent_digest(tmp_path):
 # --------------------------------------------------------------- rejections
 
 
-def _session_snapshot(path: Path) -> None:
+def _learner() -> ActiveLearner:
     rng = np.random.default_rng(0)
     X = np.sort(rng.uniform(0, 10, size=30))[:, np.newaxis]
     y = 0.4 * X[:, 0] + 0.05 * rng.standard_normal(30)
-    learner = ActiveLearner(
+    return ActiveLearner(
         X, y, np.ones(30), random_partition(30, rng=0), VarianceReduction(),
         model_factory=default_model_factory(1e-2),
     )
-    learner.run(2)
-    save_session(snapshot(learner), path)
 
 
 #: kind -> (document inside a copy of ``data/``, how its loop opens that copy)
@@ -294,16 +292,17 @@ DOCUMENTS = {
         "replicates/replicate-0000.result.json",
         lambda root: _sweep(root / "replicates"),
     ),
-    "session": (
-        "session.json",
-        lambda root: restore(load_session(root / "session.json"), VarianceReduction()),
+    "learner checkpoint": (
+        "learner.json",
+        lambda root: _learner().resume(root / "learner.json"),
     ),
 }
 
 # (kind, stored key, altered value); a key of None truncates the file.
 # Keys some other test already alters are left out: campaign batch_size,
-# sharded n_rounds/dataset_hash, multi-fidelity n_rounds/seed, session
-# strategy/version and the replicate result version.
+# sharded n_rounds/dataset_hash, multi-fidelity n_rounds/seed, learner
+# strategy/warm_start/fuse_repeats/repeat_noise_variance and the replicate
+# result version.
 REJECTIONS = [
     ("campaign checkpoint", "version", 99),
     ("campaign checkpoint", "operator", "poisson2"),
@@ -318,6 +317,10 @@ REJECTIONS = [
     ("multi-fidelity checkpoint", "version", 99),
     ("multi-fidelity checkpoint", "tiers", [TIERS[1].to_dict()]),
     ("multi-fidelity checkpoint", "n_initial", 3),
+    ("learner checkpoint", "version", 99),
+    ("learner checkpoint", "dataset_hash", "0" * 64),
+    ("learner checkpoint", "fast_refits", True),
+    ("learner checkpoint", "refit_every", 2),
 ] + [(kind, None, None) for kind in DOCUMENTS]
 
 
@@ -328,7 +331,7 @@ REJECTIONS = [
 )
 def test_codec_rejects(tmp_path, kind, key, value):
     root = shutil.copytree(DATA, tmp_path / "data")
-    _session_snapshot(root / "session.json")
+    _learner().run(2, checkpoint_path=root / "learner.json")
     document, open_loop = DOCUMENTS[kind]
     path = root / document
     text = path.read_text()
