@@ -51,11 +51,15 @@ def _compare(X, y, costs, n_seeds=5):
             model_factory=default_model_factory(1e-1),
         )
         trace = learner.run(budget)
-        # The trace's metrics are measured pre-selection; fit once more for
-        # the post-budget model quality.
+        # The trace's metrics are measured pre-selection; fit once more, on
+        # the seed rows plus every selected experiment, for the post-budget
+        # model quality.
         from repro.al.metrics import rmse as rmse_metric
 
-        model = learner._fit_model(budget)
+        model = learner.model_factory().fit(
+            np.vstack([X[part.initial], trace.selected_points]),
+            np.append(y[part.initial], trace.series("y_selected")),
+        )
         static_rmse["active learning (VR)"] = rmse_metric(model, Xt, yt)
         budgets["active learning (VR)"] = budget
         rows.append((seed, static_rmse, budgets))

@@ -49,7 +49,7 @@ from ..cluster.jobs import JobSpec
 from ..cluster.machine import ClusterSpec, wisconsin_cluster
 from ..cluster.scheduler import Executor, SlurmSimulator
 from ..gp.gpr import GaussianProcessRegressor
-from .guardrails import DriftDetector, FitGate, GuardrailConfig, GuardrailTallies
+from .guardrails import DriftDetector, GuardrailConfig, GuardrailTallies, ModelChain
 from .learner import default_model_factory
 from .pool import CandidatePool
 from .resilience import FailureAccounting, QuarantinePolicy, RetryPolicy
@@ -172,7 +172,8 @@ class CampaignCheckpoint:
     Stored as a single JSON document through the checkpoint codec of
     :mod:`repro.al.session`; everything needed to continue the campaign
     bit-identically is captured, including the campaign RNG state (and the
-    executor's and strategy's tie-break and sampling RNG states).
+    executor's and strategy's tie-break and sampling RNG states).  A
+    ``fast_refits`` resume rebuilds the model by replaying ``fit_counts``.
     """
 
     version: int
@@ -199,9 +200,9 @@ class CampaignCheckpoint:
     strategy_sampling_rng_state: dict | None = None
     # Guardrail bookkeeping (None for unguarded campaigns and pre-guardrail
     # checkpoints): tallies, escalation level, reference LML, stop reason.
-    # The drift detector and last-known-good snapshot restart cold on
-    # resume, so guarded campaigns resume *correctly* but not bit-
-    # identically (see docs/GUARDRAILS.md).
+    # Loaded after the fit replay.  The drift detector, the node breaker
+    # and the slow path's last-known-good snapshot restart cold on resume
+    # (see docs/GUARDRAILS.md).
     guardrail_state: dict | None = None
 
 
@@ -298,9 +299,10 @@ class OnlineCampaign:
         defaults) enables post-fit health checks with last-known-good
         rollback and escalating remediation, Page-Hinkley drift detection
         on prediction residuals, and the wall-clock/cost watchdog.
-        Guarded campaigns checkpoint and resume *correctly* but not
-        bit-identically: the drift detector and the rollback snapshot
-        restart cold on resume.
+        Guarded ``fast_refits`` campaigns resume bit-identically: the resume
+        replays every recorded fit through the gate.  What restarts cold on
+        resume: the drift detector, and without ``fast_refits`` the
+        rollback snapshot (its fits are not replayed).
     breaker:
         ``None`` (default) schedules on all nodes.  A
         :class:`~repro.cluster.breaker.NodeCircuitBreaker` (or a
@@ -352,27 +354,27 @@ class OnlineCampaign:
         self.fast_refits = bool(fast_refits)
         self.refit_every = int(refit_every)
 
-        if guardrails is True:
-            guardrails = GuardrailConfig()
-        self.guardrails: GuardrailConfig | None = guardrails or None
         if breaker is True:
             breaker = BreakerConfig()
         if isinstance(breaker, BreakerConfig):
             breaker = NodeCircuitBreaker(breaker, n_nodes=self.cluster.n_nodes)
         self.breaker: NodeCircuitBreaker | None = breaker or None
 
-        if registry is not None and not hasattr(registry, "publish"):
-            from ..serve.registry import ModelRegistry
-
-            registry = ModelRegistry(registry)
-        self.registry = registry
-
+        self._chain = ModelChain(
+            self.model_factory,
+            guardrails=guardrails,
+            registry=registry,
+            refit_every=self.refit_every if self.fast_refits else None,
+            counters="campaign.fit",
+        )
+        self.guardrails: GuardrailConfig | None = self._chain.guardrails
+        self.registry = self._chain.registry
+        # Also holds the tallies of the drift, breaker and watchdog layers.
+        self._gate = self._chain.gate
         guard = self.guardrails
         self._drift = (
             DriftDetector(guard.drift) if guard and guard.check_drift else None
         )
-        # Also holds the tallies of the drift, breaker and watchdog layers.
-        self._gate = FitGate.from_config(guard)
         # Breaker counters already accounted for by a resumed checkpoint
         # (the live breaker restarts its own counters from zero).
         self._breaker_base = (0, 0, 0)
@@ -490,91 +492,6 @@ class OnlineCampaign:
             accounting=acct,
         )
 
-    # ------------------------------------------------------------ model path
-
-    def _fit_model(
-        self, measured_X, measured_y, *, fallback: GaussianProcessRegressor | None = None
-    ) -> GaussianProcessRegressor:
-        """Fit a fresh model, escalating jitter on Cholesky failure.
-
-        If every escalation fails and a previous round's fitted model is
-        available, keep it (a stale posterior beats a dead campaign).
-        """
-        X = np.vstack(measured_X)
-        y = np.asarray(measured_y, dtype=float)
-        last_exc: Exception | None = None
-        for jitter_scale in (1.0, 1e3, 1e6):
-            model = self._gate.remediate(self.model_factory())
-            model.jitter *= jitter_scale
-            if jitter_scale > 1.0:
-                tm.count("campaign.fit.jitter_escalation")
-            try:
-                return model.fit(X, y)
-            except np.linalg.LinAlgError as exc:
-                tm.count("campaign.fit.cholesky_failure")
-                last_exc = exc
-        if fallback is not None and fallback.fitted:
-            tm.count("campaign.fit.fallback_model")
-            warnings.warn(
-                "GP refit failed (Cholesky) even with escalated jitter; "
-                "keeping the previous round's model",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return fallback
-        assert last_exc is not None
-        raise last_exc
-
-    def _full_fit_due(
-        self, model: GaussianProcessRegressor | None, round_index: int
-    ) -> bool:
-        """Whether this round refits hyperparameters (vs. a rank-1 update)."""
-        return (
-            not self.fast_refits
-            or model is None
-            or not model.fitted
-            or round_index % self.refit_every == 0
-        )
-
-    def _advance_model(
-        self,
-        model: GaussianProcessRegressor | None,
-        measured_X,
-        measured_y,
-        round_index: int,
-    ) -> GaussianProcessRegressor:
-        """Refit (or rank-1-update, with ``fast_refits``) the round model."""
-        if self._full_fit_due(model, round_index):
-            return self._fit_model(measured_X, measured_y, fallback=model)
-        # Fold rows measured since the last fit into the posterior (rank-1
-        # updates), hyperparameters held fixed this round.
-        n_fitted = model.X_train_.shape[0]
-        if n_fitted < len(measured_y):
-            X = np.vstack(measured_X)
-            y = np.asarray(measured_y, dtype=float)
-            try:
-                model.update(X[n_fitted:], y[n_fitted:])
-            except np.linalg.LinAlgError:
-                return self._fit_model(measured_X, measured_y, fallback=model)
-        return model
-
-    def _replay_model(self, state: _CampaignState) -> GaussianProcessRegressor | None:
-        """Rebuild the in-round model of a resumed ``fast_refits`` campaign.
-
-        Re-runs :meth:`_advance_model` on the measured prefix each completed
-        round fitted on (recorded in ``fit_counts``), so the resumed
-        posterior is bit-identical.  Without ``fast_refits`` every round
-        refits from scratch, so there is nothing to replay.
-        """
-        if not self.fast_refits:
-            return None
-        model: GaussianProcessRegressor | None = None
-        for round_index, n_now in enumerate(state.fit_counts):
-            if n_now:
-                X, y = state.measured_X[:n_now], state.measured_y[:n_now]
-                model = self._advance_model(model, X, y, round_index)
-        return model
-
     # ----------------------------------------------------------- guardrails
 
     @property
@@ -686,7 +603,7 @@ class OnlineCampaign:
                 state.accounting.add(outcome.accounting)
             self._checkpoint(state, checkpoint_path)
 
-            return self._continue(state, None, checkpoint_path)
+            return self._continue(state, checkpoint_path)
 
     def resume(self, path, *, checkpoint_path="same") -> CampaignResult:
         """Continue a killed campaign from its checkpoint file.
@@ -720,16 +637,6 @@ class OnlineCampaign:
                 wasted_core_seconds=checkpoint.wasted_core_seconds,
             ),
         )
-        if checkpoint.guardrail_state:
-            gs = checkpoint.guardrail_state
-            self._gate.load_state(gs)
-            state.stop_reason = str(gs.get("stop_reason", "completed"))
-            tallies = self._gate.tallies
-            self._breaker_base = (
-                tallies.n_breaker_opens,
-                tallies.n_breaker_probes,
-                tallies.n_breaker_blacklisted,
-            )
         with tm.span(
             "campaign",
             mode="resume",
@@ -738,10 +645,30 @@ class OnlineCampaign:
             next_round=state.next_round,
             seed_index=state.seed_index,
         ):
-            model = self._replay_model(state)
+            if self.fast_refits:
+                # Rebuild the carried model and the gate's snapshot; without
+                # fast_refits every round refits from scratch anyway.
+                for round_index, n_now in enumerate(state.fit_counts):
+                    if n_now:
+                        self._chain.step(
+                            round_index,
+                            np.vstack(state.measured_X[:n_now]),
+                            np.asarray(state.measured_y[:n_now], dtype=float),
+                            replay=True,
+                        )
+            if checkpoint.guardrail_state:
+                gs = checkpoint.guardrail_state
+                self._gate.load_state(gs)
+                state.stop_reason = str(gs.get("stop_reason", "completed"))
+                tallies = self._gate.tallies
+                self._breaker_base = (
+                    tallies.n_breaker_opens,
+                    tallies.n_breaker_probes,
+                    tallies.n_breaker_blacklisted,
+                )
             if checkpoint_path == "same":
                 checkpoint_path = path
-            return self._continue(state, model, checkpoint_path)
+            return self._continue(state, checkpoint_path)
 
     def _stop_cluster_unavailable(
         self, state: _CampaignState, exc: AllNodesOpenError
@@ -782,34 +709,16 @@ class OnlineCampaign:
         )
         return True
 
-    def _publish(
-        self,
-        model: GaussianProcessRegressor,
-        *,
-        health,
-        round_index: int | None,
-        final: bool = False,
-    ) -> None:
-        """Push a gated model to the registry (no-op without one)."""
-        if self.registry is None or not model.fitted:
-            return
-        extra = {"strategy": self.strategy.name, "final": final}
-        if round_index is not None:
-            extra["round"] = round_index
-        self.registry.publish(model, health=health, extra=extra)
-
-    def _handle_drift(
-        self, state: _CampaignState, round_index: int
-    ) -> GaussianProcessRegressor | None:
+    def _handle_drift(self, state: _CampaignState, round_index: int) -> None:
         """A drift alarm fired: discard the stale regime, start fresh.
 
         Under ``drift_action="trim"`` the oldest ``trim_fraction`` of the
         training rows (the pre-drift regime) is dropped; under ``"refit"``
         the data stays but the next round refits hyperparameters from
         scratch.  Either way the rollback snapshot, the reference LML and
-        the detector reset (the old regime is no longer a valid baseline)
-        and ``fit_counts`` is zeroed so a resume also starts with a fresh
-        fit.  Returns the model to carry forward (always ``None``).
+        the detector reset (the old regime is no longer a valid baseline),
+        the carried model is dropped, and ``fit_counts`` is zeroed so a
+        resume also starts with a fresh fit.
         """
         guard = self.guardrails
         tallies = self._gate.tallies
@@ -823,7 +732,7 @@ class OnlineCampaign:
                 state.measured_y = state.measured_y[n_trimmed:]
                 tallies.n_trimmed_points += n_trimmed
         state.fit_counts = [0] * len(state.fit_counts)
-        self._gate.reset()
+        self._chain.reset()
         if self._drift is not None:
             self._drift.reset()
         tm.count("guardrail.drift")
@@ -834,14 +743,8 @@ class OnlineCampaign:
             n_trimmed=n_trimmed,
             n_kept=len(state.measured_y),
         )
-        return None
 
-    def _continue(
-        self,
-        state: _CampaignState,
-        model: GaussianProcessRegressor | None,
-        checkpoint_path,
-    ) -> CampaignResult:
+    def _continue(self, state: _CampaignState, checkpoint_path) -> CampaignResult:
         """Run AL rounds from ``state.next_round`` to the end."""
         cand_rows = self.config.candidates
         cand_X = _features(cand_rows)
@@ -873,29 +776,16 @@ class OnlineCampaign:
                     max_sd = float("nan")
                     k = 1
                 else:
-                    full_fit = self._full_fit_due(model, round_index)
-                    tm.count(
-                        "campaign.fit.full" if full_fit else "campaign.fit.incremental"
+                    model = self._chain.step(
+                        round_index,
+                        np.vstack(state.measured_X),
+                        np.asarray(state.measured_y, dtype=float),
+                        extra={
+                            "strategy": self.strategy.name,
+                            "final": False,
+                            "round": round_index,
+                        },
                     )
-                    model = fresh = self._advance_model(
-                        model, state.measured_X, state.measured_y, round_index
-                    )
-                    if full_fit:
-                        model = self._gate.admit(
-                            fresh,
-                            np.vstack(state.measured_X),
-                            np.asarray(state.measured_y, dtype=float),
-                            round=round_index,
-                        )
-                        # Healthy (or force-accepted) full refit: make it the
-                        # served version.  Rollback rounds publish nothing —
-                        # the last-known-good already is the served version.
-                        if model is fresh:
-                            self._publish(
-                                model,
-                                health=self._gate.last_report,
-                                round_index=round_index,
-                            )
                     state.fit_counts.append(len(state.measured_y))
                     pool = CandidatePool(
                         cand_X, np.zeros(len(cand_X)), np.zeros(len(cand_X))
@@ -932,7 +822,7 @@ class OnlineCampaign:
                     and drift_z
                     and self._drift.update_many(drift_z)
                 ):
-                    model = self._handle_drift(state, round_index)
+                    self._handle_drift(state, round_index)
                 state.rounds.append(
                     {
                         "n_jobs": k,
@@ -957,16 +847,15 @@ class OnlineCampaign:
             # Persist the stop reason so a resume doesn't replay the stop.
             self._checkpoint(state, checkpoint_path)
         if state.measured_y:
-            final_model = self._fit_model(
-                state.measured_X, state.measured_y, fallback=model
-            )
-            self._publish(
-                final_model,
-                health=self._gate.check(final_model),
-                round_index=None,
-                final=True,
-            )
             X = np.vstack(state.measured_X)
+            final_model, _ = self._chain.refit(
+                state.next_round, X, np.asarray(state.measured_y, dtype=float)
+            )
+            self._chain.publish(
+                final_model,
+                {"strategy": self.strategy.name, "final": True},
+                health=self._gate.check(final_model),
+            )
         else:
             warnings.warn(
                 "campaign produced no usable observations; returning an "

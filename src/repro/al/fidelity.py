@@ -44,6 +44,7 @@ import numpy as np
 
 from .. import telemetry as tm
 from ..gp.gpr import GaussianProcessRegressor
+from .guardrails import ModelChain
 from .learner import default_model_factory
 from .metrics import evaluate_model
 from .session import (
@@ -574,6 +575,8 @@ class MultiFidelityLearner:
         self.seed = int(seed)
         self.acquisition = acquisition or MultiFidelityCostEfficiency(seed=seed)
         self.model_factory = model_factory or default_model_factory(1e-6)
+        # Fused rows change as repeats accumulate, so every round refits.
+        self._chain = ModelChain(self.model_factory, counters="fidelity.fit")
         if test is not None:
             X_test, y_test = test
             test = (
@@ -615,12 +618,6 @@ class MultiFidelityLearner:
             obs = self.oracle.query(self.candidates[int(i)], ref)
             self._record_observation(obs)
         self._initial_done = True
-
-    def _fit(self) -> GaussianProcessRegressor:
-        X, y, alpha = self.fusion.fused()
-        model = self.model_factory()
-        model.fit(X, y, alpha=alpha)
-        return model
 
     def _rmse(self, model: GaussianProcessRegressor) -> float:
         if self.test is None:
@@ -721,8 +718,9 @@ class MultiFidelityLearner:
                 index=round_index,
                 n_locations=self.fusion.n_locations,
             ) as sp:
-                model = self._fit()
-                self.model = model
+                model = self.model = self._chain.step(
+                    round_index, *self.fusion.fused()
+                )
                 rmse = self._rmse(model)
                 cand, tier_idx = self.acquisition.select(
                     model, self.candidates, self.base_costs, self.oracle.tiers
@@ -765,8 +763,7 @@ class MultiFidelityLearner:
                     n_observations=record.n_observations,
                 )
         # Final refit so the returned model includes the last observation.
-        model = self._fit()
-        self.model = model
+        self.model = self._chain.step(self.n_rounds, *self.fusion.fused())
         return self._result("completed", resumed=resumed)
 
     def _result(self, stop_reason: str, *, resumed: bool) -> MultiFidelityResult:

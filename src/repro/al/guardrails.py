@@ -28,7 +28,10 @@ subsequent selection.  This module supplies the defensive layer:
 * :class:`FitGate` composes the first three into the one post-fit
   decision every loop runs — :class:`~repro.al.learner.ActiveLearner`,
   :class:`~repro.al.campaign.OnlineCampaign`, and one gate per shard in
-  :class:`~repro.al.sharding.ShardSupervisor`.
+  :class:`~repro.al.sharding.ShardSupervisor`;
+* :class:`ModelChain` is the one fit step around the gate: the carried
+  model, the refit schedule, the jitter-escalating fit
+  (:func:`fit_with_jitter`), publishing, and the resume replay.
 
 All decisions emit telemetry through :mod:`repro.telemetry`
 (``guardrail.unhealthy``, ``guardrail.rollback``, ``guardrail.drift``,
@@ -37,7 +40,9 @@ All decisions emit telemetry through :mod:`repro.telemetry`
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -56,6 +61,9 @@ __all__ = [
     "GuardrailConfig",
     "GuardrailTallies",
     "FitGate",
+    "fit_with_jitter",
+    "ModelChain",
+    "open_registry",
 ]
 
 
@@ -592,6 +600,15 @@ class GuardrailConfig:
             raise ValueError("max_cost_core_seconds must be positive or None")
 
 
+def open_registry(registry):
+    """A loop's ``registry=`` argument: a path opens a model registry."""
+    if registry is None or hasattr(registry, "publish"):
+        return registry
+    from ..serve.registry import ModelRegistry
+
+    return ModelRegistry(registry)
+
+
 @dataclass
 class GuardrailTallies:
     """What the guardrails did during one campaign (all start at zero)."""
@@ -744,3 +761,157 @@ class FitGate:
         self.level = int(state.get("remediation_level", 0))
         prev = state.get("prev_lml_per_point")
         self.prev_lml_per_point = None if prev is None else float(prev)
+
+
+# ------------------------------------------------------------------ chain
+
+
+def fit_with_jitter(build, X, y, alpha=None, *, warm_start=False, counters=None):
+    """``build()`` fitted on ``X, y`` at jitter x1, x1e3, x1e6 of the first one's.
+
+    The last ``LinAlgError`` propagates.  ``alpha`` and ``warm_start`` reach
+    ``fit`` only when set, so a plain ``fit(X, y)`` regressor works too.
+    ``counters`` prefixes the ``.jitter_escalation``/``.cholesky_failure``
+    telemetry counters.
+    """
+    kwargs = {"alpha": alpha} if alpha is not None else {}
+    if warm_start:
+        kwargs["warm_start"] = True
+    base = None
+    for scale in (1.0, 1e3, 1e6):
+        model = build()
+        base = model.jitter if base is None else base
+        model.jitter = base * scale
+        if scale > 1.0 and counters:
+            tm.count(f"{counters}.jitter_escalation")
+        try:
+            model.fit(X, y, **kwargs)
+            return model
+        except np.linalg.LinAlgError as exc:
+            if counters:
+                tm.count(f"{counters}.cholesky_failure")
+            last_exc = exc
+    raise last_exc
+
+
+class ModelChain:
+    """The model a loop carries between rounds, and its one refit policy.
+
+    :meth:`step` rank-1-updates the carried model with the new rows unless
+    :meth:`full_fit_due` or the update raises ``LinAlgError``; then
+    :meth:`refit` fits a factory model (the carried one under
+    ``warm_start``), remediated by the gate and passed through
+    ``prepare(model, index)``; if every jitter of a cold fit fails, the
+    carried model is kept with a ``RuntimeWarning``.  The gate admits a
+    fresh fit and an accepted one is published with ``extra``.
+    ``guardrails`` (or ``True``) configures the gate; ``counters`` prefixes
+    the telemetry counters; ``index_name`` keys the index in the rollback
+    event.  A resume replays :meth:`step` with ``replay=True`` (no
+    publishing or counters) over the recorded fit prefixes, which rebuilds
+    the model and the gate's snapshot; load the saved
+    :meth:`FitGate.state` after it.
+    """
+
+    def __init__(
+        self,
+        factory: Callable[[], GaussianProcessRegressor],
+        *,
+        guardrails: GuardrailConfig | bool | None = None,
+        registry=None,
+        refit_every: int | None = None,
+        warm_start: bool = False,
+        prepare: Callable[[GaussianProcessRegressor, int], None] | None = None,
+        counters: str = "al.fit",
+        index_name: str = "round",
+    ):
+        self.factory = factory
+        if guardrails is True:
+            guardrails = GuardrailConfig()
+        self.guardrails = guardrails or None
+        self.gate = FitGate.from_config(self.guardrails)
+        self.registry = open_registry(registry)
+        self.refit_every = refit_every
+        self.warm_start = warm_start
+        self.prepare = prepare
+        self.counters = counters
+        self.index_name = index_name
+        #: the carried model (``None`` before the first fit)
+        self.model: GaussianProcessRegressor | None = None
+
+    def full_fit_due(self, index: int) -> bool:
+        """First fit, every ``refit_every``-th round, or every round if ``None``."""
+        return (
+            self.refit_every is None
+            or self.model is None
+            or not self.model.fitted
+            or index % self.refit_every == 0
+        )
+
+    def refit(self, index, X, y, alpha=None, *, replay=False) -> tuple:
+        """``(model, fresh)``: an ungated full fit, or the kept carried model."""
+        counters = None if replay else self.counters
+        warm = self.warm_start and self.model is not None
+
+        def build():
+            model = self.model if warm else self.gate.remediate(self.factory())
+            if self.prepare is not None:
+                self.prepare(model, index)
+            return model
+
+        try:
+            fit = fit_with_jitter(
+                build, X, y, alpha, warm_start=warm, counters=counters
+            )
+            return fit, True
+        except np.linalg.LinAlgError:
+            # A failed warm fit has altered the carried model: nothing to keep.
+            if warm or self.model is None or not self.model.fitted:
+                raise
+        if counters:
+            tm.count(f"{counters}.fallback_model")
+        warnings.warn(
+            "GP refit failed (Cholesky) even with escalated jitter; "
+            "keeping the previous round's model",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return self.model, False
+
+    def step(self, index: int, X, y, alpha=None, *, extra=None, replay=False):
+        """The carried model advanced to the full training set ``X, y``."""
+        counters = None if replay else self.counters
+        model = self.model
+        if not self.full_fit_due(index):
+            if counters:
+                tm.count(f"{counters}.incremental")
+            n = model.X_train_.shape[0]
+            try:
+                if n < X.shape[0]:
+                    new_alpha = None if alpha is None else alpha[n:]
+                    model.update(X[n:], y[n:], alpha=new_alpha)
+                return model
+            except np.linalg.LinAlgError:
+                pass  # the posterior cannot absorb the rows: refit instead
+        if counters:
+            tm.count(f"{counters}.full")
+        model, fresh = self.refit(index, X, y, alpha, replay=replay)
+        if fresh:
+            where = {self.index_name: index}
+            admitted = self.gate.admit(model, X, y, alpha, **where)
+            # Rollback rounds publish nothing: the last-known-good already
+            # is the served version.
+            if admitted is model and not replay:
+                self.publish(model, extra, health=self.gate.last_report)
+            model = admitted
+        self.model = model
+        return model
+
+    def publish(self, model, extra, *, health=None) -> None:
+        """Push ``model`` to the registry (no-op without one)."""
+        if self.registry is not None:
+            self.registry.publish(model, health=health, extra=extra)
+
+    def reset(self) -> None:
+        """Drop the carried model and the gate's history (a new regime)."""
+        self.model = None
+        self.gate.reset()

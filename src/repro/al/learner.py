@@ -20,7 +20,7 @@ import numpy as np
 from .. import telemetry as tm
 from ..gp.gpr import GaussianProcessRegressor
 from ..gp.solvers import resolve_solver
-from .guardrails import FitGate, GuardrailConfig
+from .guardrails import ModelChain
 from .metrics import evaluate_model
 from .partition import Partition
 from .pool import CandidatePool
@@ -291,16 +291,20 @@ class ActiveLearner:
         self.fuse_repeats = bool(fuse_repeats)
         self.repeat_noise_variance = float(repeat_noise_variance)
 
-        if guardrails is True:
-            guardrails = GuardrailConfig()
-        self.guardrails = guardrails or None
-        self._gate = FitGate.from_config(self.guardrails)
-
-        if registry is not None and not hasattr(registry, "publish"):
-            from ..serve.registry import ModelRegistry
-
-            registry = ModelRegistry(registry)
-        self.registry = registry
+        self._chain = ModelChain(
+            self.model_factory,
+            guardrails=guardrails,
+            registry=registry,
+            refit_every=self.refit_every if self.fast_refits else None,
+            warm_start=self.fast_refits and self.warm_start,
+            prepare=(
+                self._apply_noise_floor if noise_floor_schedule is not None else None
+            ),
+            counters="al.fit",
+            index_name="iteration",
+        )
+        self.guardrails = self._chain.guardrails
+        self.registry = self._chain.registry
 
         self._X_train = X[partition.initial].copy()
         self._y_train = y[partition.initial].copy()
@@ -319,11 +323,9 @@ class ActiveLearner:
         self.pool = CandidatePool(
             X[partition.active], y[partition.active], costs[partition.active]
         )
-        self._X_active_full = X[partition.active]
         self._X_test = X[partition.test]
         self._y_test = y[partition.test]
         self._cumulative_cost = 0.0
-        self.model: GaussianProcessRegressor | None = None
         self.trace = ALTrace(strategy=strategy.name)
         # Digested on the first checkpoint only (unsaved runs skip the hash),
         # from the partitioned rows the learner keeps anyway.
@@ -345,96 +347,52 @@ class ActiveLearner:
     @property
     def n_rollbacks(self) -> int:
         """Unhealthy refits rolled back to the last healthy model so far."""
-        return self._gate.tallies.n_rollbacks
+        return self._chain.gate.tallies.n_rollbacks
 
-    def _full_fit_due(self, iteration: int) -> bool:
-        """Whether this iteration refits hyperparameters (vs. a rank-1 update)."""
-        return not (
-            self.fast_refits
-            and self.model is not None
-            and self.model.fitted
-            and iteration % self.refit_every != 0
-        )
+    @property
+    def model(self) -> GaussianProcessRegressor | None:
+        """The model of the latest iteration (``None`` before the first)."""
+        return self._chain.model
 
-    def _extend_model(self) -> None:
-        """Fold rows queried since the last (re)fit into ``model``'s posterior."""
-        n_fitted = self.model.X_train_.shape[0]
-        if n_fitted < self.n_train:
-            self.model.update(
-                self._X_train[n_fitted:],
-                self._y_train[n_fitted:],
-                alpha=(
-                    self._alpha_train[n_fitted:]
-                    if self._alpha_train is not None
-                    else None
-                ),
+    def _apply_noise_floor(self, model, iteration: int) -> None:
+        """Raise ``model``'s noise floor to the schedule's value before a refit."""
+        floor = float(self.noise_floor_schedule(iteration))
+        if floor <= 0:
+            raise ValueError("noise floor schedule must return positive values")
+        bounds = model.noise_variance_bounds
+        if isinstance(bounds, str):
+            # bounds == "fixed": silently replacing it with (floor, high)
+            # would un-fix the noise variance behind the caller's back.
+            raise ValueError(
+                "noise_floor_schedule cannot be combined with "
+                "noise_variance_bounds='fixed': the schedule would "
+                "replace the fixed bound and re-enable noise "
+                "optimization; use numeric bounds or drop the schedule"
             )
+        model.noise_variance_bounds = (floor, max(bounds[1], floor * 10))
+        model.noise_variance = max(model.noise_variance, floor)
 
-    def _refit(self, iteration: int) -> GaussianProcessRegressor:
-        """Full hyperparameter fit on the current training set (ungated)."""
-        warm = self.fast_refits and self.warm_start and self.model is not None
-        model = self.model if warm else self.model_factory()
-        if not warm:
-            self._gate.remediate(model)
-        if self.noise_floor_schedule is not None:
-            floor = float(self.noise_floor_schedule(iteration))
-            if floor <= 0:
-                raise ValueError("noise floor schedule must return positive values")
-            bounds = model.noise_variance_bounds
-            if isinstance(bounds, str):
-                # bounds == "fixed": silently replacing it with (floor, high)
-                # would un-fix the noise variance behind the caller's back.
-                raise ValueError(
-                    "noise_floor_schedule cannot be combined with "
-                    "noise_variance_bounds='fixed': the schedule would "
-                    "replace the fixed bound and re-enable noise "
-                    "optimization; use numeric bounds or drop the schedule"
-                )
-            model.noise_variance_bounds = (floor, max(bounds[1], floor * 10))
-            model.noise_variance = max(model.noise_variance, floor)
-        model.fit(
-            self._X_train, self._y_train, alpha=self._alpha_train, warm_start=warm
-        )
-        return model
-
-    def _refit_cost_model(self) -> bool:
-        """Refresh the strategy's cost model, if it has one; True if refitted.
-
-        Runs on the same cadence as the primary refit: historically nothing
-        refitted it and its predictions went stale as the pool drained.
-        """
-        if getattr(self.strategy, "auto_refit", False) and hasattr(
-            self.strategy, "refit_cost_model"
+    def _advance(self, iteration: int, *, replay: bool = False):
+        """The iteration's model (``None`` on a slow replay); refits a cost model."""
+        strategy = self.strategy
+        if (
+            self._chain.full_fit_due(iteration)
+            and getattr(strategy, "auto_refit", False)
+            and hasattr(strategy, "refit_cost_model")
         ):
-            self.strategy.refit_cost_model(self._X_cost, self._costs_known)
-            return True
-        return False
-
-    def _fit_model(self, iteration: int) -> GaussianProcessRegressor:
-        if not self._full_fit_due(iteration):
-            # Off-schedule iteration: extend the posterior with the rows
-            # queried since the last (re)fit, hyperparameters held fixed.
-            tm.count("al.fit.incremental")
-            self._extend_model()
-            return self.model
-
-        tm.count("al.fit.full")
-        fresh = self._refit(iteration)
-        if self._refit_cost_model():
-            tm.count("al.cost_model.refit")
-        model = self._gate.admit(
-            fresh, self._X_train, self._y_train, self._alpha_train, iteration=iteration
+            strategy.refit_cost_model(self._X_cost, self._costs_known)
+            if not replay:
+                tm.count("al.cost_model.refit")
+        if replay and not self.fast_refits:
+            return None  # every slow-path iteration refits from scratch
+        return self._chain.step(
+            iteration,
+            self._X_train,
+            self._y_train,
+            self._alpha_train,
+            extra={"strategy": self.strategy.name, "iteration": iteration},
+            replay=replay,
         )
-        if self.registry is not None and model is fresh:
-            # Healthy (or ungated) full refit: make it the served version.
-            # Rollback iterations publish nothing — the last-known-good
-            # already is the served version.
-            self.registry.publish(
-                model,
-                health=self._gate.last_report,
-                extra={"strategy": self.strategy.name, "iteration": iteration},
-            )
-        return model
 
     def _ingest(self, idx: int) -> tuple[np.ndarray, float, float, int]:
         """Move pool record ``idx`` into the training set.
@@ -478,11 +436,8 @@ class ActiveLearner:
             raise ValueError("candidate pool is exhausted")
         iteration = len(self.trace.records)
         with tm.span("iteration", index=iteration, n_train=self.n_train) as sp:
-            model = self._fit_model(iteration)
-            self.model = model
-            metrics = evaluate_model(
-                model, self._X_active_full, self._X_test, self._y_test
-            )
+            model = self._advance(iteration)
+            metrics = evaluate_model(model, self.pool.X, self._X_test, self._y_test)
 
             idx = self.strategy.select(model, self.pool)
             # Strategies that score with pool SDs expose the SD at the chosen
@@ -554,13 +509,13 @@ class ActiveLearner:
         Call on a *freshly constructed* learner with the same dataset,
         partition, strategy and options (the stored config is checked).
         Every recorded selection is re-ingested from the dataset, never
-        re-measured; under ``fast_refits`` the fit chain is re-run too
-        (publishing and counting nothing) so the carried model and
-        posterior match.  The gate's tallies, level and baseline are
-        restored but its last-known-good snapshot restarts cold, and so
-        does a strategy's non-RNG state (``EMCM``'s persistent bootstrap
-        ensemble): such runs resume correctly rather than bit-identically.
-        Checkpointing continues into ``path``.
+        re-measured.  Under ``fast_refits`` each recorded fit step is re-run
+        through the model chain and the gate before the saved gate state is
+        loaded, so guarded runs resume bit-identically too.  What restarts
+        cold: the slow path's last-known-good snapshot (its fits are not
+        replayed) and ``EMCM``'s persistent bootstrap ensemble; such runs
+        resume correctly rather than bit-identically.  Checkpointing
+        continues into ``path``.
         """
         if self.trace.records:
             raise RuntimeError("resume() requires a freshly constructed learner")
@@ -568,16 +523,11 @@ class ActiveLearner:
             path, _CHECKPOINT_KIND, _CHECKPOINT_VERSION, expect=self._checkpoint_config()
         )
         for record in map(IterationRecord.from_payload, payload["records"]):
-            if self._full_fit_due(record.iteration):
-                if self.fast_refits:
-                    self.model = self._refit(record.iteration)
-                self._refit_cost_model()
-            else:
-                self._extend_model()
+            self._advance(record.iteration, replay=True)
             self._ingest(record.selected_pool_index)
             self.trace.records.append(record)
         restore_generators(self.strategy.generators(), payload["generators"])
-        self._gate.load_state(payload["gate"])
+        self._chain.gate.load_state(payload["gate"])
         return self._run_to(int(payload["target"]), path)
 
     def _run_to(self, target: int, checkpoint_path) -> ALTrace:
@@ -618,7 +568,7 @@ class ActiveLearner:
                 "target": target,
                 "records": [r.payload() for r in self.trace.records],
                 "generators": capture_generators(self.strategy.generators()),
-                "gate": self._gate.state(),
+                "gate": self._chain.gate.state(),
             },
             path,
         )

@@ -62,7 +62,13 @@ from ..gp.gpr import GaussianProcessRegressor
 from ..parallel.pmap import ParallelMap
 from ..perfmodel import PERFORMANCE_NOISE, RuntimeModel
 from .campaign import CampaignResult
-from .guardrails import FitGate, GuardrailTallies, HealthConfig
+from .guardrails import (
+    FitGate,
+    GuardrailTallies,
+    HealthConfig,
+    fit_with_jitter,
+    open_registry,
+)
 from .learner import default_model_factory
 from .metrics import evaluate_model
 from .partition import Partition
@@ -357,25 +363,14 @@ class _ShardFitTask:
                     out["error"] = "injected shard hang (simulated timeout)"
                     return out
                 y = injector.corrupt_values(y)
+
+        def build():
+            model = self.model_factory()
+            model.rng = np.random.default_rng(int(model_seed))
+            return model
+
         try:
-            model = None
-            base_jitter = None
-            for scale in (1.0, 1e3, 1e6):
-                m = self.model_factory()
-                m.rng = np.random.default_rng(int(model_seed))
-                if base_jitter is None:
-                    base_jitter = m.jitter
-                m.jitter = base_jitter * scale
-                try:
-                    m.fit(X, y)
-                    model = m
-                    break
-                except np.linalg.LinAlgError:
-                    continue
-            if model is None:
-                raise np.linalg.LinAlgError(
-                    "shard fit failed at maximum jitter escalation"
-                )
+            model = fit_with_jitter(build, X, y)
             out["ok"] = True
             # to_dict round-trips bit-exactly, so shipping the payload
             # (instead of the live object) keeps every backend identical.
@@ -925,17 +920,12 @@ class ShardedLearner:
         self._rng = np.random.default_rng(
             np.random.SeedSequence(entropy=int(config.seed), spawn_key=(2,))
         )
-        if registry is not None and not hasattr(registry, "publish_bundle"):
-            from ..serve.registry import ModelRegistry
-
-            registry = ModelRegistry(registry)
-        self.registry = registry
+        self.registry = open_registry(registry)
 
         self.pool = CandidatePool(
             X[partition.active], y[partition.active], costs[partition.active]
         )
         self._pool_home = self.partitioner.assign(X[partition.active])
-        self._X_active_full = X[partition.active]
         self.X_test = X[partition.test]
         self.y_test = y[partition.test]
         init_labels = self.partitioner.assign(X[partition.initial])
@@ -970,7 +960,7 @@ class ShardedLearner:
         return int(ss.generate_state(1)[0])
 
     def _shard_arrays(self, shard: int) -> tuple[np.ndarray, np.ndarray]:
-        d = self._X_active_full.shape[1]
+        d = self.pool.X.shape[1]
         rows = self._shard_X[shard]
         X = np.asarray(rows, dtype=float) if rows else np.zeros((0, d))
         return X, np.asarray(self._shard_y[shard], dtype=float)
@@ -1131,7 +1121,7 @@ class ShardedLearner:
                 rmse_now = None
                 if sharded is not None:
                     metrics = evaluate_model(
-                        sharded, self._X_active_full, self.X_test, self.y_test
+                        sharded, self.pool.X, self.X_test, self.y_test
                     )
                     rmse_now = metrics["rmse"]
                 self._rounds.append(
@@ -1178,7 +1168,7 @@ class ShardedLearner:
             X_meas = self.pool.X[measured_idx]
             y_meas = self.pool.y[measured_idx]
         else:
-            X_meas = np.zeros((0, self._X_active_full.shape[1]))
+            X_meas = np.zeros((0, self.pool.X.shape[1]))
             y_meas = np.zeros(0)
         return CampaignResult(
             X=X_meas,

@@ -97,9 +97,10 @@ def dynamic_noise_floor(scale: float = 1.0, *, minimum: float = 1e-8):
     (*scaled*): each refit the learner replaces the lower bound with the
     scheduled floor and widens the upper bound to at least ``10x`` the
     floor.  Pairing it with ``noise_variance_bounds="fixed"`` raises a
-    ``ValueError`` in :meth:`ActiveLearner._fit_model <repro.al.learner.
-    ActiveLearner>` — the schedule would silently re-enable noise
-    optimization the caller explicitly froze (see the mirrored note there).
+    ``ValueError`` at the learner's first refit — the schedule would
+    silently re-enable noise optimization the caller explicitly froze (see
+    the mirrored note on :class:`~repro.al.learner.ActiveLearner`'s
+    ``noise_floor_schedule``).
     """
     if scale <= 0:
         raise ValueError("scale must be positive")

@@ -9,11 +9,13 @@ counts, and a campaign killed mid-run resumes bit-identically.
 import numpy as np
 import pytest
 
+from repro.al import ActiveLearner, VarianceReduction, random_partition
 from repro.al.campaign import (
     CampaignConfig,
     OnlineCampaign,
     load_checkpoint,
 )
+from repro.al.fidelity import FidelityTier, MultiFidelityLearner, MultiFidelityOracle
 from repro.al.resilience import QuarantinePolicy, RetryPolicy
 from repro.al.strategies import RandomSampling
 from repro.cluster.faults import FaultConfig, FaultyExecutor
@@ -284,52 +286,88 @@ def test_missing_scheduler_record_is_descriptive(monkeypatch):
 class _FragileGPR(GaussianProcessRegressor):
     """Raises the Cholesky error unless the jitter has been escalated."""
 
-    def fit(self, X, y):
+    def fit(self, X, y, **fit_kw):
         if self.jitter < 1e-8:
             raise np.linalg.LinAlgError("matrix not positive definite")
-        return super().fit(X, y)
+        return super().fit(X, y, **fit_kw)
 
 
-def test_jitter_escalation_recovers_cholesky_failure():
-    campaign = OnlineCampaign(
-        _config(n_rounds=2),
-        ModelExecutor(),
-        rng=0,
-        model_factory=lambda: _FragileGPR(
-            noise_variance=1e-2, optimizer=None, jitter=1e-10
-        ),
+# Each loop runs ``n_rounds`` rounds on models from ``factory`` and returns
+# its final model.  The multi-fidelity loop passes the fused per-point
+# noise (``fit(X, y, alpha=...)``); the other two call a plain ``fit(X, y)``.
+
+
+def _campaign_model(factory, n_rounds):
+    result = OnlineCampaign(
+        _config(n_rounds=n_rounds), ModelExecutor(), rng=0, model_factory=factory
+    ).run()
+    assert len(result.rounds) == n_rounds
+    assert result.y.shape[0] == 1 + n_rounds * 2  # seed + two jobs a round
+    return result.model
+
+
+def _learner_model(factory, n_rounds):
+    rng = np.random.default_rng(0)
+    X = np.sort(rng.uniform(0, 10, size=40))[:, np.newaxis]
+    y = 0.4 * X[:, 0] + 0.05 * rng.standard_normal(40)
+    learner = ActiveLearner(
+        X, y, np.ones(40), random_partition(40, rng=0), VarianceReduction(),
+        model_factory=factory,
     )
-    result = campaign.run()  # must not raise: jitter * 1e3 clears the bar
-    assert result.model.fitted
-    assert result.model.jitter >= 1e-8
+    assert len(learner.run(n_rounds)) == n_rounds
+    return learner.model
 
 
-def test_cholesky_failure_keeps_previous_round_model():
+def _multifidelity_model(factory, n_rounds):
+    tiers = [FidelityTier("probe", 0.1, 1e-2), FidelityTier("full", 1.0, 1e-4)]
+    oracle = MultiFidelityOracle(lambda x: float(np.sin(3.0 * x[0])), tiers, rng=0)
+    result = MultiFidelityLearner(
+        oracle, np.linspace(-1.0, 1.0, 15)[:, np.newaxis],
+        n_rounds=n_rounds, model_factory=factory, seed=0,
+    ).run()
+    assert len(result.rounds) == n_rounds
+    return result.model
+
+
+LOOPS = {
+    "campaign": _campaign_model,
+    "learner": _learner_model,
+    "multifidelity": _multifidelity_model,
+}
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_jitter_escalation_recovers_cholesky_failure(loop):
+    model = LOOPS[loop](
+        lambda: _FragileGPR(noise_variance=1e-2, optimizer=None, jitter=1e-10),
+        n_rounds=2,
+    )  # must not raise: jitter * 1e3 clears the bar
+    assert model.fitted
+    assert model.jitter >= 1e-8
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_cholesky_failure_keeps_previous_round_model(loop):
     """When even escalated jitter cannot fit, the previous round's model
-    survives (a stale posterior beats a dead campaign)."""
+    survives (a stale posterior beats a dead loop), and every round still
+    runs on it."""
     built = []
 
     class _DoomedGPR(GaussianProcessRegressor):
-        def fit(self, X, y):
+        def fit(self, X, y, **fit_kw):
             if len(built) > 1:  # every model after the first refuses to fit
                 raise np.linalg.LinAlgError("matrix not positive definite")
-            return super().fit(X, y)
+            return super().fit(X, y, **fit_kw)
 
     def factory():
         model = _DoomedGPR(noise_variance=1e-2, optimizer=None)
         built.append(model)
         return model
 
-    campaign = OnlineCampaign(
-        _config(n_rounds=3), ModelExecutor(), rng=0, model_factory=factory
-    )
     with pytest.warns(RuntimeWarning, match="previous round's model"):
-        result = campaign.run()
-    assert result.model is built[0]
-    assert result.model.fitted
-    # The campaign still ran all its rounds on the surviving model.
-    assert len(result.rounds) == 3
-    assert result.y.shape[0] == 1 + 3 * 2  # seed + three rounds of two jobs
+        model = LOOPS[loop](factory, n_rounds=3)
+    assert model is built[0]
+    assert model.fitted
 
 
 def test_z_threshold_gates_corrupted_measurements():

@@ -5,7 +5,7 @@ configuration whose later fits fail it), so the gate rolls back, escalates
 remediation, force-accepts and publishes on every path the three loops
 have: the offline :class:`ActiveLearner` (slow and ``fast_refits`` paths,
 with a registry), the :class:`OnlineCampaign` (straight through, and
-killed then resumed under ``fast_refits``), and the
+under ``fast_refits`` killed at every checkpoint then resumed), and the
 :class:`ShardedLearner` (unbounded per-shard rollbacks under injected
 shard faults).  A SHA-256 over the outputs that depend on every gate
 decision is compared against values taken before the three loops shared
@@ -125,7 +125,9 @@ def _campaign_digest(result) -> str:
 
 CAMPAIGN_GOLDEN = {
     "straight": "9a20b6b627ec484930c5d33f3b343d89451cbfc58bfb8f6701242e1d6d8a53d6",
-    "resumed": "9b51a6b34cf8dab28b42b07cb548c2d7b6229e785e429aad5ee97d0590b2ed23",
+    # The same fast_refits campaign run uninterrupted: a resume replays the
+    # recorded fits through the gate, so it must land on this digest too.
+    "resumed": "f7a7a22c660a6874c471a69273292996bedb89d2406c70f9ed1cff6ea6e5b33a",
 }
 
 
@@ -135,26 +137,43 @@ def test_campaign_gate_golden():
     assert _campaign_digest(result) == CAMPAIGN_GOLDEN["straight"]
 
 
-def test_campaign_gate_golden_fast_refits_resumed(tmp_path):
-    path = tmp_path / "campaign.json"
+class _Killed(Exception):
+    pass
+
+
+def _killed_then_resumed(path, kill_at):
+    """Kill the fast_refits campaign after its ``kill_at``-th checkpoint."""
     campaign = _campaign(fast_refits=True, refit_every=2)
     checkpoint = campaign._checkpoint
     calls = {"n": 0}
 
-    class Killed(Exception):
-        pass
-
-    def kill_after_five(state, p):
+    def dying_checkpoint(state, p):
         checkpoint(state, p)
         calls["n"] += 1
-        if calls["n"] == 5:
-            raise Killed()
+        if calls["n"] == kill_at:
+            raise _Killed()
 
-    campaign._checkpoint = kill_after_five
-    with pytest.raises(Killed):
+    campaign._checkpoint = dying_checkpoint
+    with pytest.raises(_Killed):
         campaign.run(checkpoint_path=path)
-    result = _campaign(fast_refits=True, refit_every=2).resume(path)
+    return _campaign(fast_refits=True, refit_every=2).resume(path)
+
+
+def test_campaign_gate_golden_fast_refits_resumed(tmp_path):
+    result = _killed_then_resumed(tmp_path / "campaign.json", 5)
     assert result.guardrails.n_unhealthy_fits > 0
+    assert _campaign_digest(result) == CAMPAIGN_GOLDEN["resumed"]
+
+
+def test_campaign_gate_golden_fast_refits_straight():
+    result = _campaign(fast_refits=True, refit_every=2).run()
+    assert _campaign_digest(result) == CAMPAIGN_GOLDEN["resumed"]
+
+
+# Seven checkpoints: the seed's and one per round.
+@pytest.mark.parametrize("kill_at", range(1, 8))
+def test_campaign_fast_refits_resume_at_every_checkpoint(tmp_path, kill_at):
+    result = _killed_then_resumed(tmp_path / "campaign.json", kill_at)
     assert _campaign_digest(result) == CAMPAIGN_GOLDEN["resumed"]
 
 

@@ -14,9 +14,16 @@ from repro.al import (
     default_model_factory,
     random_partition,
 )
+from repro.al.guardrails import GuardrailConfig, HealthConfig
 from repro.al.session import run_or_resume, write_json_atomic
 
 N = 50
+
+#: No fit past the first few passes this, so the gate rolls back, escalates
+#: remediation and force-accepts all through the run.
+_GUARDED = GuardrailConfig(
+    health=HealthConfig(max_condition_number=1.0 + 1e-9), max_rollbacks=2
+)
 
 #: id -> (strategy factory, learner options, repeated pool rows)
 CASES = {
@@ -28,6 +35,12 @@ CASES = {
     # Killed between refits: the cost model must be refitted as of iteration 3.
     "cost_model_fast": (
         CostModelEfficiency, {"fast_refits": True, "refit_every": 3}, False
+    ),
+    # The replay must rebuild the gate's snapshot and level, not just the model.
+    "guarded_fast_refits": (
+        VarianceReduction,
+        {"guardrails": _GUARDED, "fast_refits": True, "refit_every": 3},
+        False,
     ),
 }
 
@@ -74,12 +87,11 @@ def _killed_run(case, path, n_iterations=10, kill_at=5):
         victim.run(n_iterations, checkpoint_path=path)
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_kill_and_resume_is_bit_identical(tmp_path, case):
+def _assert_resume_is_bit_identical(tmp_path, case, kill_at=5):
     straight = _learner(case)
     straight.run(10)
     path = tmp_path / "learner.json"
-    _killed_run(case, path)
+    _killed_run(case, path, kill_at=kill_at)
 
     resumed = _learner(case)
     resumed.resume(path)
@@ -98,6 +110,17 @@ def test_kill_and_resume_is_bit_identical(tmp_path, case):
         resumed.model.predict(X_test, return_std=True),
     ):
         np.testing.assert_array_equal(got, want)
+    assert resumed.n_rollbacks == straight.n_rollbacks
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kill_and_resume_is_bit_identical(tmp_path, case):
+    _assert_resume_is_bit_identical(tmp_path, case)
+
+
+@pytest.mark.parametrize("kill_at", range(1, 10))
+def test_guarded_fast_refits_resume_at_every_kill_point(tmp_path, kill_at):
+    _assert_resume_is_bit_identical(tmp_path, "guarded_fast_refits", kill_at)
 
 
 def test_snapshot_roundtrip_continues_identically(tmp_path):
