@@ -404,7 +404,7 @@ def main(argv=None) -> int:
         "this model registry for python -m repro serve",
     )
     parser.add_argument(
-        "--solver", choices=("exact", "nystrom", "rff", "auto"),
+        "--solver", choices=("exact", "nystrom", "auto"),
         default="exact",
         help="GP solver backend for campaign refits (auto switches to an "
         "approximate backend once the training set outgrows the exact "

@@ -195,9 +195,9 @@ class ModelHealth:
     ) -> HealthReport:
         """Health of a fitted model; ``prev_lml_per_point`` is the baseline.
 
-        Approximate (Nystrom/RFF) fits get a reduced check: the full n-by-n
+        Approximate (Nystrom) fits get a reduced check: the full n-by-n
         Cholesky factor does not exist, so conditioning is judged from the
-        backend's small factor (``Lc`` for Nystrom, ``La`` for RFF), LOOCV
+        backend's small factor ``Lc``, LOOCV
         is skipped (``outlier_rate=None``), and a blown exact-vs-approximate
         error budget becomes a health issue.
         """
@@ -217,18 +217,16 @@ class ModelHealth:
         else:
             n = afit.n_train
             factor = afit.arrays.get("Lc")
-            if factor is None:
-                factor = afit.arrays.get("La")
-            # The approximate systems (C = K_mm + sigma^-2 K_mn K_nm, or
-            # A = Phi^T Phi + sigma^2 I) aggregate sigma^-2 n kernel rows, so
-            # their conditioning legitimately runs orders of magnitude above
+            # The approximate system C = K_mm + sigma^-2 K_mn K_nm
+            # aggregates sigma^-2 n kernel rows, so its conditioning
+            # legitimately runs orders of magnitude above
             # the exact K_y's; the exact threshold would flag healthy
             # large-pool fits.  The headroom keeps the check meaningful for
             # genuinely degenerate fits (noise collapsed to its floor pushes
             # cond past even this).
             what = "approximate-solver system ill-conditioned: cond"
             threshold = cfg.max_condition_number * _APPROX_COND_HEADROOM
-            # DTC / feature-space marginal likelihood: comparable only
+            # DTC marginal likelihood: comparable only
             # across fits of the same backend, so the regression check
             # still applies.
             lml = float(afit.lml)

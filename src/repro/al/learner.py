@@ -73,7 +73,7 @@ def default_model_factory(
     The upper bound widens with the floor (``max(1e3, 10 * noise_floor)``)
     so a large floor can never produce an inverted bounds interval.
     ``solver`` selects the GP solver backend (``"exact"``, ``"nystrom"``,
-    ``"rff"``, ``"auto"``, or a :class:`repro.gp.SolverConfig` / dict) and
+    ``"auto"``, or a :class:`repro.gp.SolverConfig` / dict) and
     is passed through to every model the factory builds.  The returned
     factory is picklable, so it works with every
     :class:`repro.parallel.ParallelMap` backend.

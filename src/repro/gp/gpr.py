@@ -43,13 +43,20 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky
 
 from .. import telemetry as tm
 from .incremental import NotPositiveDefiniteError, cholesky_append
 from .kernels import RBF, ConstantKernel, Kernel, kernel_from_dict, kernel_to_dict
 from .optimize import OptimizeOutcome, minimize_with_restarts
-from .solvers import ApproxFitState, SolverConfig, resolve_solver
+from .solvers import (
+    ApproxFitState,
+    SolverConfig,
+    add_noise_diagonal,
+    exact_posterior,
+    predict_exact,
+    resolve_solver,
+)
 from . import solvers as _solvers
 from .validate import as_1d_array, as_2d_array, check_consistent_rows
 
@@ -78,37 +85,27 @@ def default_kernel(n_features: int = 1, *, ard: bool = False) -> Kernel:
 class _FitObjective:
     """Picklable ``theta -> (negative LML, gradient)`` for one fit's data.
 
-    Built fresh per :meth:`GaussianProcessRegressor.fit` from the kernel
-    template and training arrays.  Each call evaluates on a throwaway
-    regressor, so the objective is stateless: safe to invoke concurrently
-    from restart threads and cheap to pickle to restart processes (see
-    ``minimize_with_restarts(..., executor=)``).
+    Built once per :meth:`GaussianProcessRegressor.fit` around a template
+    regressor holding the search's starting hyperparameters.
+    :meth:`~GaussianProcessRegressor.log_marginal_likelihood` only reads
+    the template, so the objective is stateless: safe to invoke
+    concurrently from restart threads and cheap to pickle to restart
+    processes (see ``minimize_with_restarts(..., executor=)``).
     """
 
-    __slots__ = (
-        "kernel", "noise_variance", "noise_variance_bounds", "jitter", "X", "y",
-        "alpha",
-    )
+    __slots__ = ("model", "X", "y", "alpha")
 
-    def __init__(self, kernel, noise_variance, noise_variance_bounds, jitter, X, y,
-                 alpha=None):
-        self.kernel = kernel
-        self.noise_variance = noise_variance
-        self.noise_variance_bounds = noise_variance_bounds
-        self.jitter = jitter
+    def __init__(self, model, X, y, alpha=None):
+        self.model = model
         self.X = X
         self.y = y
         self.alpha = alpha  # per-point noise variance (units of y), or None
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        model = GaussianProcessRegressor(
-            kernel=self.kernel,
-            noise_variance=self.noise_variance,
-            noise_variance_bounds=self.noise_variance_bounds,
-            optimizer=None,
-            jitter=self.jitter,
+        lml, grad = self.model.log_marginal_likelihood(
+            theta, eval_gradient=True, X=self.X, y=self.y, alpha=self.alpha
         )
-        return model._nlml_and_grad(theta, self.X, self.y, alpha=self.alpha)
+        return -lml, -grad
 
 
 @dataclass
@@ -171,11 +168,10 @@ class GaussianProcessRegressor:
     solver:
         Solver backend: ``"exact"`` (default; the O(n^3) Cholesky path,
         bit-identical to previous releases), ``"nystrom"`` (inducing
-        points, O(n m^2)), ``"rff"`` (random Fourier features, O(n D^2)),
-        ``"auto"`` (exact below the measured crossover size, Nystrom
-        beyond), or a :class:`repro.gp.solvers.SolverConfig` for full
-        control over approximation sizes and the error budget.  See
-        :mod:`repro.gp.solvers`.
+        points, O(n m^2)), ``"auto"`` (exact below the measured crossover
+        size, Nystrom beyond), or a :class:`repro.gp.solvers.SolverConfig`
+        for full control over approximation sizes and the error budget.
+        See :mod:`repro.gp.solvers`.
     """
 
     def __init__(
@@ -242,13 +238,11 @@ class GaussianProcessRegressor:
         :class:`repro.al.guardrails.ModelHealth` flags blown budgets.
         """
         if self._afit is not None:
-            info = {"name": self._afit.backend}
-            if self._afit.backend == "nystrom":
-                info["n_inducing"] = int(self._afit.arrays["Z"].shape[0])
-            elif self._afit.backend == "rff":
-                info["n_features"] = int(self._afit.arrays["W"].shape[0])
-            info["error_budget"] = dict(self._afit.error_budget)
-            return info
+            return {
+                "name": self._afit.backend,
+                "n_inducing": int(self._afit.arrays["Z"].shape[0]),
+                "error_budget": dict(self._afit.error_budget),
+            }
         if self._fit is not None:
             return {"name": "exact"}
         return None
@@ -271,6 +265,33 @@ class GaussianProcessRegressor:
         self.kernel_.theta = theta[:nk]
         if not self._noise_free:
             self.noise_variance_ = float(np.exp(theta[nk]))
+
+    def _at_theta(self, theta, n_features: int) -> tuple[Kernel, float]:
+        """Kernel and noise variance at joint ``theta``, leaving the model as is.
+
+        ``theta=None`` means the current hyperparameters.  A model without
+        ``kernel_`` first instantiates its template for ``n_features``
+        inputs.
+        """
+        if self.kernel_ is None:
+            self.kernel_ = self._template_kernel(n_features)
+        if theta is None:
+            return self.kernel_, self.noise_variance_
+        theta = np.asarray(theta, dtype=float)
+        nk = self.kernel_.n_dims
+        expected = (nk + (0 if self._noise_free else 1),)
+        if theta.shape != expected:
+            raise ValueError(f"theta has shape {theta.shape}, expected {expected}")
+        kernel = self.kernel_.clone_with_theta(theta[:nk])
+        if self._noise_free:
+            return kernel, self.noise_variance_
+        return kernel, float(np.exp(theta[nk]))
+
+    def _template_kernel(self, n_features: int) -> Kernel:
+        """A fresh copy of the constructor kernel (the default one for ``None``)."""
+        if self.kernel is None:
+            return default_kernel(n_features)
+        return self.kernel.clone_with_theta(self.kernel.theta)
 
     def _theta_bounds(self) -> np.ndarray:
         assert self.kernel_ is not None
@@ -326,21 +347,13 @@ class GaussianProcessRegressor:
             )
             tm.count("gp.fit.alpha_exact_fallback")
             backend = "exact"
+        attrs = dict(n=X.shape[0], warm_start=bool(warm_start))
         if backend == "exact":
-            with tm.span(
-                "fit",
-                n=X.shape[0],
-                warm_start=bool(warm_start),
-                heteroscedastic=alpha is not None,
-            ) as sp:
-                self._fit_impl(X, y, alpha=alpha, warm_start=warm_start, sp=sp)
-            self._afit = None
+            attrs["heteroscedastic"] = alpha is not None
         else:
-            with tm.span(
-                "fit", n=X.shape[0], warm_start=bool(warm_start), solver=backend
-            ) as sp:
-                self._fit_approx_impl(X, y, backend, warm_start=warm_start, sp=sp)
-            self._fit = None
+            attrs["solver"] = backend
+        with tm.span("fit", **attrs) as sp:
+            self._fit_impl(X, y, backend, alpha=alpha, warm_start=warm_start, sp=sp)
         return self
 
     def _check_alpha(self, alpha, n: int) -> np.ndarray:
@@ -365,20 +378,24 @@ class GaussianProcessRegressor:
             )
         return alpha
 
-    def _fit_impl(self, X, y, *, warm_start: bool, sp, alpha=None) -> None:
+    def _fit_impl(self, X, y, backend: str, *, alpha, warm_start: bool, sp) -> None:
+        """Search the hyperparameters by LML ascent, then build the posterior.
+
+        The exact backend searches on every row.  An approximate backend
+        searches by *exact* LML on a deterministic subsample of at most
+        ``solver.opt_subset`` rows (the full-set exact LML is the very
+        O(n^3) it avoids), then builds its posterior on the full training
+        set at the optimum and checks the error budget
+        (:func:`repro.gp.solvers.check_error_budget`).
+        """
         tel = tm.enabled()
         t0 = time.perf_counter() if tel else 0.0
-        if warm_start and self.kernel_ is not None:
-            # Keep the current kernel_/noise_variance_ as the search start.
-            pass
-        elif self.kernel is None:
+        if not (warm_start and self.kernel_ is not None):
             # Each cold fit restarts from the template state (like
             # scikit-learn's kernel cloning): repeated fits must not
             # warm-start from the previous fit's optimum unless asked to.
-            self.kernel_ = default_kernel(X.shape[1])
-            self.noise_variance_ = self.noise_variance
-        else:
-            self.kernel_ = self.kernel.clone_with_theta(self.kernel.theta)
+            # A warm start keeps the current kernel_/noise_variance_.
+            self.kernel_ = self._template_kernel(X.shape[1])
             self.noise_variance_ = self.noise_variance
 
         if self.normalize_y:
@@ -393,24 +410,31 @@ class GaussianProcessRegressor:
         # scale variances by 1/y_std^2.
         alpha_norm = alpha / y_std**2 if alpha is not None else None
 
+        X_opt, y_opt = X, y_norm
+        if backend != "exact":
+            # Private, seeded RNG: subsample choice, inducing selection
+            # and probe points are reproducible per config and never
+            # consume the restart RNG.
+            solver_rng = np.random.default_rng(self.solver.seed)
+            n, subset = X.shape[0], self.solver.opt_subset
+            if n > subset:
+                sub = np.sort(solver_rng.choice(n, size=subset, replace=False))
+                X_opt, y_opt = X[sub], y_norm[sub]
+
         outcome = None
-        theta_history: list[np.ndarray] = []
         theta0 = self._theta()
         if self.optimizer is not None and theta0.size > 0:
             # A picklable, stateless objective (not a bound-method closure)
             # so restart descents can run on thread or process pools.
-            objective = _FitObjective(
-                self.kernel_.clone_with_theta(self.kernel_.theta),
-                self.noise_variance_,
-                self.noise_variance_bounds,
-                self.jitter,
-                X,
-                y_norm,
-                alpha_norm,
+            template = GaussianProcessRegressor(
+                noise_variance=self.noise_variance_,
+                noise_variance_bounds=self.noise_variance_bounds,
+                optimizer=None,
+                jitter=self.jitter,
             )
-
+            template.kernel_ = self.kernel_.clone_with_theta(self.kernel_.theta)
             outcome = minimize_with_restarts(
-                objective,
+                _FitObjective(template, X_opt, y_opt, alpha_norm),
                 theta0,
                 self._theta_bounds(),
                 n_restarts=self.n_restarts,
@@ -418,30 +442,35 @@ class GaussianProcessRegressor:
                 executor=self.executor,
             )
             self._set_theta(outcome.theta)
-            theta_history = outcome.all_thetas
 
-        K = self.kernel_(X)
-        K[np.diag_indices_from(K)] += self.noise_variance_ + self.jitter
-        if alpha_norm is not None:
-            K[np.diag_indices_from(K)] += alpha_norm
-        L = cholesky(K, lower=True, check_finite=False)
-        weights = cho_solve((L, True), y_norm, check_finite=False)
-        lml = self._lml_from_cholesky(L, weights, y_norm)
-
-        self._fit = _FitState(
-            X=X,
-            y=y_norm,
-            y_mean=y_mean,
-            y_std=y_std,
-            L=L,
-            alpha=weights,
-            lml=lml,
-            optimize_outcome=outcome,
-            theta_history=theta_history,
-            noise_alpha=alpha,
-        )
+        if backend == "exact":
+            L, weights = exact_posterior(
+                self.kernel_, self.noise_variance_, self.jitter, X, y_norm, alpha_norm
+            )
+            lml = self._lml_from_cholesky(L, weights, y_norm)
+            self._fit = _FitState(
+                X=X,
+                y=y_norm,
+                y_mean=y_mean,
+                y_std=y_std,
+                L=L,
+                alpha=weights,
+                lml=lml,
+                optimize_outcome=outcome,
+                theta_history=outcome.all_thetas if outcome is not None else [],
+                noise_alpha=alpha,
+            )
+            self._afit = None
+        else:
+            self._afit = self._approx_state(
+                backend, X, y_norm, y_mean, y_std, solver_rng
+            )
+            self._fit = None
+            lml = self._afit.lml
         if tel:
             tm.count("gp.fit.total")
+            if self._afit is not None:
+                tm.count(f"gp.fit.{backend}")
             tm.observe("gp.fit.seconds", time.perf_counter() - t0)
             sp.set(lml=lml, noise_variance=self.noise_variance_)
             if outcome is not None:
@@ -449,114 +478,7 @@ class GaussianProcessRegressor:
                 sp.set(n_starts=len(outcome.statuses), n_bad_starts=n_bad)
                 if outcome.fallback:
                     tm.count("gp.fit.optimizer_fallback")
-
-    def _fit_approx_impl(self, X, y, backend: str, *, warm_start: bool, sp) -> None:
-        """Approximate-backend fit: subsample-opt hyperparameters, then build.
-
-        Hyperparameters are optimized by *exact* marginal likelihood on a
-        deterministic subsample of at most ``solver.opt_subset`` rows (the
-        full-set exact LML is the very O(n^3) this backend avoids); the
-        approximate posterior is then assembled on the full training set
-        at the optimum, and the error budget is checked
-        (:func:`repro.gp.solvers.check_error_budget`).
-        """
-        tel = tm.enabled()
-        t0 = time.perf_counter() if tel else 0.0
-        cfg = self.solver
-        # Private, seeded RNG: subsample choice, inducing selection /
-        # feature frequencies, and probe points are reproducible per
-        # config and never consume the restart RNG.
-        solver_rng = np.random.default_rng(cfg.seed)
-
-        if warm_start and self.kernel_ is not None:
-            pass  # keep the current kernel_/noise_variance_ as the start
-        elif self.kernel is None:
-            self.kernel_ = default_kernel(X.shape[1])
-            self.noise_variance_ = self.noise_variance
-        else:
-            self.kernel_ = self.kernel.clone_with_theta(self.kernel.theta)
-            self.noise_variance_ = self.noise_variance
-
-        if backend == "rff":
-            # Fail before the (possibly long) optimization, not after.
-            _solvers.rbf_spectral_params(self.kernel_, X.shape[1])
-
-        if self.normalize_y:
-            y_mean = float(np.mean(y))
-            y_std = float(np.std(y))
-            if y_std == 0.0:
-                y_std = 1.0
-        else:
-            y_mean, y_std = 0.0, 1.0
-        y_norm = (y - y_mean) / y_std
-
-        n = X.shape[0]
-        if n > cfg.opt_subset:
-            sub = np.sort(solver_rng.choice(n, size=cfg.opt_subset, replace=False))
-            X_opt, y_opt = X[sub], y_norm[sub]
-        else:
-            X_opt, y_opt = X, y_norm
-
-        outcome = None
-        theta0 = self._theta()
-        if self.optimizer is not None and theta0.size > 0:
-            objective = _FitObjective(
-                self.kernel_.clone_with_theta(self.kernel_.theta),
-                self.noise_variance_,
-                self.noise_variance_bounds,
-                self.jitter,
-                X_opt,
-                y_opt,
-            )
-            outcome = minimize_with_restarts(
-                objective,
-                theta0,
-                self._theta_bounds(),
-                n_restarts=self.n_restarts,
-                rng=self.rng,
-                executor=self.executor,
-            )
-            self._set_theta(outcome.theta)
-
-        arrays = _solvers.fit_backend(
-            backend,
-            self.kernel_,
-            self.noise_variance_,
-            self.jitter,
-            X,
-            y_norm,
-            cfg,
-            solver_rng,
-        )
-        lml = float(arrays.pop("lml")[0])
-        state = ApproxFitState(
-            backend=backend,
-            arrays=arrays,
-            y_mean=y_mean,
-            y_std=y_std,
-            n_train=n,
-            training_hash=_solvers.training_hash(X, y_norm, y_mean, y_std),
-            lml=lml,
-            X=X,
-            y=y_norm,
-        )
-        state.error_budget = _solvers.check_error_budget(
-            state,
-            self.kernel_,
-            self.noise_variance_,
-            self.jitter,
-            X,
-            y_norm,
-            cfg,
-            solver_rng,
-        )
-        self._afit = state
-        if tel:
-            tm.count("gp.fit.total")
-            tm.count(f"gp.fit.{backend}")
-            tm.observe("gp.fit.seconds", time.perf_counter() - t0)
-            sp.set(lml=lml, noise_variance=self.noise_variance_)
-            budget = state.error_budget
+            budget = self._afit.error_budget if self._afit is not None else {}
             if budget.get("checked"):
                 sp.set(
                     budget_mean_err=budget["max_mean_err"],
@@ -565,8 +487,36 @@ class GaussianProcessRegressor:
                 )
                 if budget["within_budget"] is False:
                     tm.count("gp.fit.budget_exceeded")
-            if outcome is not None and outcome.fallback:
-                tm.count("gp.fit.optimizer_fallback")
+
+    def _approx_state(self, backend, X, y_norm, y_mean, y_std, solver_rng):
+        """Build an approximate posterior at the current hyperparameters.
+
+        The backend factors come from ``solver_rng`` first and the
+        error-budget probes after them, so one seeded generator makes the
+        whole state reproducible.
+        """
+        kernel, cfg = self.kernel_, self.solver
+        arrays = _solvers.fit_backend(
+            backend, kernel, self.noise_variance_, self.jitter, X, y_norm, cfg,
+            solver_rng,
+        )
+        lml = float(arrays.pop("lml")[0])
+        state = ApproxFitState(
+            backend=backend,
+            arrays=arrays,
+            y_mean=y_mean,
+            y_std=y_std,
+            n_train=X.shape[0],
+            training_hash=_solvers.training_hash(X, y_norm, y_mean, y_std),
+            lml=lml,
+            X=X,
+            y=y_norm,
+        )
+        state.error_budget = _solvers.check_error_budget(
+            state, kernel, self.noise_variance_, self.jitter, X, y_norm, cfg,
+            solver_rng,
+        )
+        return state
 
     def update(self, x, y, *, alpha=None) -> "GaussianProcessRegressor":
         """Fold new observations into the posterior at *fixed* hyperparameters.
@@ -647,30 +597,36 @@ class GaussianProcessRegressor:
 
         X_all = fit.X
         L = fit.L
-        diag_shift = self.noise_variance_ + self.jitter
+        n_old = fit.X.shape[0]
+        alpha_norm = (
+            None if noise_alpha_all is None else noise_alpha_all / fit.y_std**2
+        )
+        # K_y's diagonal entries at the new rows.
+        k_self = add_noise_diagonal(
+            kernel.diag(X_new),
+            self.noise_variance_,
+            self.jitter,
+            None if alpha_norm is None else alpha_norm[n_old:],
+        )
         with tm.span(
             "update", n=fit.X.shape[0], n_new=X_new.shape[0]
         ) as sp:
             n_rebuilds = 0
-            n_old = fit.X.shape[0]
             for i in range(X_new.shape[0]):
                 xq = X_new[i : i + 1]
                 k = kernel(xq, X_all)[0]
-                k_self = float(kernel.diag(xq)[0]) + diag_shift
-                if noise_alpha_all is not None:
-                    k_self += float(noise_alpha_all[n_old + i]) / fit.y_std**2
                 X_all = np.vstack([X_all, xq])
                 try:
-                    L = cholesky_append(L, k, k_self)
+                    L = cholesky_append(L, k, float(k_self[i]))
                 except NotPositiveDefiniteError:
                     n_rebuilds += 1
                     tm.count("gp.update.cholesky_rebuild")
-                    K = kernel(X_all)
-                    K[np.diag_indices_from(K)] += diag_shift
-                    if noise_alpha_all is not None:
-                        K[np.diag_indices_from(K)] += (
-                            noise_alpha_all[: X_all.shape[0]] / fit.y_std**2
-                        )
+                    K = add_noise_diagonal(
+                        kernel(X_all),
+                        self.noise_variance_,
+                        self.jitter,
+                        None if alpha_norm is None else alpha_norm[: X_all.shape[0]],
+                    )
                     L = cholesky(K, lower=True, check_finite=False)
             sp.set(n_rebuilds=n_rebuilds)
             tm.count("gp.update.total")
@@ -713,11 +669,10 @@ class GaussianProcessRegressor:
         """Fold new rows into an approximate posterior at fixed hyperparameters.
 
         Rebuilds the backend factors on the extended training set — an
-        O(n m^2) / O(n D^2) pass, not the exact path's O(n^2) rank-1
-        border — with the same solver seed, so the inducing set / feature
-        frequencies are re-drawn deterministically.  Requires the
-        training set, which a model restored by :meth:`from_dict` no
-        longer carries.
+        O(n m^2) pass, not the exact path's O(n^2) rank-1 border — with
+        the same solver seed, so the inducing set is re-drawn
+        deterministically.  Requires the training set, which a model
+        restored by :meth:`from_dict` no longer carries.
         """
         afit = self._afit
         assert afit is not None
@@ -727,52 +682,17 @@ class GaussianProcessRegressor:
                 "serialized payload: the training set is not persisted; "
                 "refit from the source data instead"
             )
-        kernel = self.kernel_
-        assert kernel is not None
         X_new, y_new = self._coerce_update_rows(x, y, afit.X.shape[1])
         y_norm_new = (y_new - afit.y_mean) / afit.y_std
         X_all = np.vstack([afit.X, X_new])
         y_all = np.append(afit.y, y_norm_new)
-        cfg = self.solver
         with tm.span(
             "update", n=afit.n_train, n_new=X_new.shape[0], solver=afit.backend
         ):
-            solver_rng = np.random.default_rng(cfg.seed)
-            arrays = _solvers.fit_backend(
-                afit.backend,
-                kernel,
-                self.noise_variance_,
-                self.jitter,
-                X_all,
-                y_all,
-                cfg,
-                solver_rng,
+            self._afit = self._approx_state(
+                afit.backend, X_all, y_all, afit.y_mean, afit.y_std,
+                np.random.default_rng(self.solver.seed),
             )
-            lml = float(arrays.pop("lml")[0])
-            state = ApproxFitState(
-                backend=afit.backend,
-                arrays=arrays,
-                y_mean=afit.y_mean,
-                y_std=afit.y_std,
-                n_train=X_all.shape[0],
-                training_hash=_solvers.training_hash(
-                    X_all, y_all, afit.y_mean, afit.y_std
-                ),
-                lml=lml,
-                X=X_all,
-                y=y_all,
-            )
-            state.error_budget = _solvers.check_error_budget(
-                state,
-                kernel,
-                self.noise_variance_,
-                self.jitter,
-                X_all,
-                y_all,
-                cfg,
-                solver_rng,
-            )
-            self._afit = state
             tm.count("gp.update.total")
             tm.count("gp.update.points", X_new.shape[0])
         return self
@@ -970,15 +890,6 @@ class GaussianProcessRegressor:
             -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * _LOG_2PI
         )
 
-    def _nlml_and_grad(
-        self, theta: np.ndarray, X: np.ndarray, y: np.ndarray, alpha=None
-    ) -> tuple[float, np.ndarray]:
-        """Negative LML and its gradient at ``theta`` (for the optimizer)."""
-        lml, grad = self.log_marginal_likelihood(
-            theta, eval_gradient=True, X=X, y=y, alpha=alpha
-        )
-        return -lml, -grad
-
     def log_marginal_likelihood(
         self,
         theta: np.ndarray | None = None,
@@ -1000,6 +911,9 @@ class GaussianProcessRegressor:
         defaults to the fitted model's stored per-point noise.  The noise
         gradient is unchanged by ``alpha``: ``dK/d log sigma_n^2`` is still
         ``sigma_n^2 I``.
+
+        The model is only read (``theta`` is evaluated on a copy of the
+        kernel), so concurrent calls on one model are safe.
         """
         if X is None or y is None:
             if self._afit is not None:
@@ -1027,54 +941,32 @@ class GaussianProcessRegressor:
                 raise ValueError(
                     f"alpha has {alpha.shape[0]} entries, expected {X.shape[0]}"
                 )
-        if self.kernel_ is None:
-            self.kernel_ = (
-                default_kernel(X.shape[1])
-                if self.kernel is None
-                else self.kernel.clone_with_theta(self.kernel.theta)
-            )
-
-        kernel = self.kernel_
-        saved_theta = self._theta()
-        if theta is not None:
-            theta = np.asarray(theta, dtype=float)
-            if theta.shape != saved_theta.shape:
-                raise ValueError(
-                    f"theta has shape {theta.shape}, expected {saved_theta.shape}"
-                )
-            self._set_theta(theta)
+        kernel, noise = self._at_theta(theta, X.shape[1])
+        if eval_gradient:
+            K, K_grad = kernel(X, eval_gradient=True)
+        else:
+            K = kernel(X)
+        add_noise_diagonal(K, noise, self.jitter, alpha)
         try:
-            noise = self.noise_variance_
+            L = cholesky(K, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            tm.count("gp.lml.cholesky_failure")
             if eval_gradient:
-                K, K_grad = kernel(X, eval_gradient=True)
-            else:
-                K = kernel(X)
-            K[np.diag_indices_from(K)] += noise + self.jitter
-            if alpha is not None:
-                K[np.diag_indices_from(K)] += alpha
-            try:
-                L = cholesky(K, lower=True, check_finite=False)
-            except np.linalg.LinAlgError:
-                tm.count("gp.lml.cholesky_failure")
-                if eval_gradient:
-                    return -np.inf, np.zeros_like(saved_theta)
-                return -np.inf
-            alpha = cho_solve((L, True), y, check_finite=False)
-            lml = self._lml_from_cholesky(L, alpha, y)
-            if not eval_gradient:
-                return lml
-            # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^{-1}) dK/dtheta_j)
-            K_inv = cho_solve((L, True), np.eye(K.shape[0]), check_finite=False)
-            inner = np.outer(alpha, alpha) - K_inv
-            grads = 0.5 * np.einsum("ij,ijk->k", inner, K_grad)
-            if not self._noise_free:
-                # dK/d(log sigma_n^2) = sigma_n^2 * I
-                noise_grad = 0.5 * noise * np.trace(inner)
-                grads = np.append(grads, noise_grad)
-            return lml, grads
-        finally:
-            if theta is not None:
-                self._set_theta(saved_theta)
+                return -np.inf, np.zeros_like(self._theta())
+            return -np.inf
+        weights = cho_solve((L, True), y, check_finite=False)
+        lml = self._lml_from_cholesky(L, weights, y)
+        if not eval_gradient:
+            return lml
+        # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^{-1}) dK/dtheta_j)
+        K_inv = cho_solve((L, True), np.eye(K.shape[0]), check_finite=False)
+        inner = np.outer(weights, weights) - K_inv
+        grads = 0.5 * np.einsum("ij,ijk->k", inner, K_grad)
+        if not self._noise_free:
+            # dK/d(log sigma_n^2) = sigma_n^2 * I
+            noise_grad = 0.5 * noise * np.trace(inner)
+            grads = np.append(grads, noise_grad)
+        return lml, grads
 
     # --------------------------------------------------------------- prediction
 
@@ -1104,122 +996,53 @@ class GaussianProcessRegressor:
         if return_std and return_cov:
             raise ValueError("return_std and return_cov are mutually exclusive")
         X = as_2d_array(X)
-        if self._afit is not None:
-            return self._predict_approx(
-                X,
-                return_std=return_std,
-                return_cov=return_cov,
-                include_noise=include_noise,
-            )
-        if self._fit is None:
-            # Prior prediction.
-            kernel = self.kernel_ or (
-                default_kernel(X.shape[1])
-                if self.kernel is None
-                else self.kernel
-            )
-            mean = np.zeros(X.shape[0])
-            if return_cov:
-                cov = kernel(X).astype(float)
-                if include_noise:
-                    cov[np.diag_indices_from(cov)] += self.noise_variance_
-                return mean, cov
-            if return_std:
-                var = kernel.diag(X).astype(float)
-                if include_noise:
-                    var = var + self.noise_variance_
-                return mean, np.sqrt(var)
-            return mean
-
-        fit = self._fit
-        kernel = self.kernel_
-        assert kernel is not None
-        K_star = kernel(X, fit.X)  # (m, n)
-        mean = K_star @ fit.alpha * fit.y_std + fit.y_mean
-        if not (return_std or return_cov):
-            return mean
-
-        # v = L^{-1} k_*
-        v = solve_triangular(fit.L, K_star.T, lower=True, check_finite=False)
-        if return_cov:
-            cov = kernel(X) - v.T @ v
-            # Clamp numerically negative variances on the diagonal exactly
-            # like the return_std path: without it, sqrt(diag(cov))
-            # downstream yields NaN.
-            diag = np.einsum("ii->i", cov)  # writable view
-            if np.any(diag < 0):
-                if np.min(diag) < -1e-6:
-                    warnings.warn(
-                        f"predicted variance clipped from {np.min(diag):.3e}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                np.maximum(diag, 0.0, out=diag)
-            if include_noise:
-                cov[np.diag_indices_from(cov)] += self.noise_variance_
-            cov = cov * fit.y_std**2
-            return mean, cov
-        var = kernel.diag(X) - np.sum(v**2, axis=0)
-        if np.any(var < 0):
-            # Numerically tiny negatives are expected; anything sizable is a bug.
-            if np.min(var) < -1e-6:
-                warnings.warn(
-                    f"predicted variance clipped from {np.min(var):.3e}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            var = np.maximum(var, 0.0)
-        if include_noise:
-            var = var + self.noise_variance_
-        return mean, np.sqrt(var) * fit.y_std
-
-    def _predict_approx(
-        self, X, *, return_std: bool, return_cov: bool, include_noise: bool
-    ):
-        """Approximate-backend prediction with the exact path's post-processing.
-
-        The solver returns the latent mean and variance in normalized
-        units; clamping, the observation-noise term, and target
-        un-normalization are applied here with the same rules as the
-        exact path, so ``return_std`` and ``sqrt(diag(return_cov))``
-        agree across backends.
-        """
-        afit = self._afit
-        kernel = self.kernel_
-        assert afit is not None and kernel is not None
         want = "cov" if return_cov else ("var" if return_std else None)
-        mean_n, second = _solvers.predict_backend(
-            afit, kernel, self.noise_variance_, self.jitter, X, want=want
-        )
-        mean = mean_n * afit.y_std + afit.y_mean
+        if self._afit is not None:
+            afit = self._afit
+            mean, latent = _solvers.predict_backend(
+                afit, self.kernel_, self.noise_variance_, self.jitter, X, want=want
+            )
+            y_mean, y_std = afit.y_mean, afit.y_std
+        elif self._fit is not None:
+            fit = self._fit
+            mean, latent = predict_exact(self.kernel_, fit.X, fit.L, fit.alpha, X, want)
+            y_mean, y_std = fit.y_mean, fit.y_std
+        else:
+            # Prior prediction.
+            kernel = self.kernel_ or self._template_kernel(X.shape[1])
+            mean = np.zeros(X.shape[0])
+            if want is not None:
+                latent = (kernel(X) if return_cov else kernel.diag(X)).astype(float)
+            y_mean, y_std = 0.0, 1.0
+        mean = mean * y_std + y_mean
         if want is None:
             return mean
-        if return_cov:
-            cov = second
-            diag = np.einsum("ii->i", cov)  # writable view
-            if np.any(diag < 0):
-                if np.min(diag) < -1e-6:
-                    warnings.warn(
-                        f"predicted variance clipped from {np.min(diag):.3e}",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                np.maximum(diag, 0.0, out=diag)
-            if include_noise:
-                cov[np.diag_indices_from(cov)] += self.noise_variance_
-            return mean, cov * afit.y_std**2
-        var = second
+        return mean, self._predictive_spread(latent, return_cov, include_noise, y_std)
+
+    def _predictive_spread(self, latent, cov: bool, include_noise: bool, y_std):
+        """Clamp, add the noise term to and un-normalize a latent (co)variance.
+
+        Every backend returns its latent variance (or covariance) in
+        normalized units and gets the same post-processing here, so
+        ``return_std`` and ``sqrt(diag(return_cov))`` agree across backends.
+        """
+        var = np.einsum("ii->i", latent) if cov else latent  # writable view
         if np.any(var < 0):
+            # Numerically tiny negatives are expected; anything sizable is a
+            # bug.  Clamping the covariance diagonal too keeps
+            # sqrt(diag(cov)) downstream free of NaN.
             if np.min(var) < -1e-6:
                 warnings.warn(
                     f"predicted variance clipped from {np.min(var):.3e}",
                     RuntimeWarning,
                     stacklevel=3,
                 )
-            var = np.maximum(var, 0.0)
+            np.maximum(var, 0.0, out=var)
         if include_noise:
-            var = var + self.noise_variance_
-        return mean, np.sqrt(var) * afit.y_std
+            var += self.noise_variance_
+        if cov:
+            return latent * y_std**2
+        return np.sqrt(var) * y_std
 
     def predict_gradient(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Analytic gradients of the predictive mean and std at one point.
@@ -1309,7 +1132,7 @@ class GaussianProcessRegressor:
         """LML of the fitted model at its optimized hyperparameters.
 
         For approximate solver fits this is the backend's approximate
-        marginal likelihood (DTC / feature-space), not the exact one.
+        marginal likelihood (DTC), not the exact one.
         """
         if self._afit is not None:
             return self._afit.lml

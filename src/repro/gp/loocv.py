@@ -26,6 +26,7 @@ from scipy.linalg import cho_solve, cholesky
 
 from .gpr import GaussianProcessRegressor, _LOG_2PI
 from .optimize import OptimizeOutcome, minimize_with_restarts
+from .solvers import add_noise_diagonal
 from .validate import as_1d_array, as_2d_array, check_consistent_rows
 
 __all__ = [
@@ -80,10 +81,12 @@ def loo_residuals(model: GaussianProcessRegressor) -> LOOResult:
         raise RuntimeError("model is not fitted")
     fit = model._fit
     assert fit is not None and model.kernel_ is not None
-    K = model.kernel_(fit.X)
-    K[np.diag_indices_from(K)] += model.noise_variance_ + model.jitter
-    if fit.noise_alpha is not None:
-        K[np.diag_indices_from(K)] += fit.noise_alpha / fit.y_std**2
+    K = add_noise_diagonal(
+        model.kernel_(fit.X),
+        model.noise_variance_,
+        model.jitter,
+        None if fit.noise_alpha is None else fit.noise_alpha / fit.y_std**2,
+    )
     res = _loo_from_K(K, fit.y)
     return LOOResult(
         mean=res.mean * fit.y_std + fit.y_mean,
@@ -131,24 +134,12 @@ def loo_pseudo_likelihood(
     X = as_2d_array(X)
     y = as_1d_array(y)
     check_consistent_rows(X, y)
-    if model.kernel_ is None:
-        # Instantiate kernel lazily, mirroring log_marginal_likelihood.
-        model.log_marginal_likelihood(None, X=X, y=y)
-    saved = model._theta()
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != saved.shape:
-        raise ValueError(f"theta has shape {theta.shape}, expected {saved.shape}")
-    model._set_theta(theta)
+    kernel, noise = model._at_theta(theta, X.shape[1])
+    K = add_noise_diagonal(kernel(X), noise, model.jitter)
     try:
-        assert model.kernel_ is not None
-        K = model.kernel_(X)
-        K[np.diag_indices_from(K)] += model.noise_variance_ + model.jitter
-        try:
-            return _loo_from_K(K, y).pseudo_log_likelihood
-        except np.linalg.LinAlgError:
-            return -np.inf
-    finally:
-        model._set_theta(saved)
+        return _loo_from_K(K, y).pseudo_log_likelihood
+    except np.linalg.LinAlgError:
+        return -np.inf
 
 
 def fit_loocv(
@@ -170,7 +161,7 @@ def fit_loocv(
     y = as_1d_array(y)
     check_consistent_rows(X, y)
     if model.kernel_ is None:
-        model.log_marginal_likelihood(None, X=X, y=y)  # instantiate kernel
+        model.kernel_ = model._template_kernel(X.shape[1])
     theta0 = model._theta()
     bounds = model._theta_bounds()
     restarts = model.n_restarts if n_restarts is None else n_restarts

@@ -87,11 +87,6 @@ class _GuardedObjective:
         return float(value), grad
 
 
-def _wrap(objective: Callable) -> Callable:
-    """Backward-compatible alias for :class:`_GuardedObjective`."""
-    return _GuardedObjective(objective)
-
-
 class _StartTask:
     """Run L-BFGS-B from one start; picklable for process-pool dispatch.
 
@@ -183,7 +178,7 @@ def minimize_with_restarts(
     if np.any(bounds[:, 0] > bounds[:, 1]):
         raise ValueError("bounds must satisfy low <= high")
     rng = np.random.default_rng(rng)
-    wrapped = _wrap(objective)
+    wrapped = _GuardedObjective(objective)
 
     starts = [np.clip(theta0, bounds[:, 0], bounds[:, 1])]
     for _ in range(n_restarts):

@@ -1,8 +1,11 @@
-"""Pluggable approximate solver backends for :class:`GaussianProcessRegressor`.
+"""Solver backends for :class:`GaussianProcessRegressor`.
 
-The exact solver factorizes the full ``(n, n)`` kernel matrix — O(n^3)
-fit, O(n^2) memory — which caps training sets at a few thousand points.
-This module supplies the approximations that unlock 10^5-point pools:
+The exact solver factorizes the full ``(n, n)`` noisy kernel matrix
+``K_y`` — O(n^3) fit, O(n^2) memory — which caps training sets at a few
+thousand points.  Its building blocks live here (:func:`add_noise_diagonal`,
+:func:`exact_posterior`, :func:`predict_exact`) so the regressor, LOO-CV
+and the error-budget check below share one copy.  This module also
+supplies the approximation that unlocks 10^5-point pools:
 
 ``nystrom``
     Subset-of-regressors / deterministic-training-conditional (DTC)
@@ -14,20 +17,13 @@ This module supplies the approximations that unlock 10^5-point pools:
     does not collapse to zero away from the inducing set, so AL
     acquisition stays meaningful.
 
-``rff``
-    Random Fourier features (Rahimi & Recht): the RBF kernel is
-    approximated by ``D`` random cosine features and the GP becomes
-    Bayesian linear regression in feature space — O(n D^2) fit, O(D^2)
-    memory, O(D) per-point prediction.  Supports ``ConstantKernel * RBF``
-    (the repo's default covariance) including ARD length scales.
-
 ``auto``
     Picks the backend by training-set size using the measured crossover
     table below (``benchmarks/bench_solver_crossover.py`` regenerates
     the numbers).
 
-Both approximate backends optimize hyperparameters by exact marginal
-likelihood on a deterministic subsample (``opt_subset``), then build the
+The approximate backend optimizes hyperparameters by exact marginal
+likelihood on a deterministic subsample (``opt_subset``), then builds the
 approximate posterior on the full data at the optimum.  Every
 approximate fit carries an **error budget**: when the training set is
 small enough to afford it, the predictive mean/std are compared against
@@ -61,16 +57,17 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 #: Backends selectable via ``GaussianProcessRegressor(solver=...)``.
-SOLVER_NAMES = ("exact", "nystrom", "rff", "auto")
+SOLVER_NAMES = ("exact", "nystrom", "auto")
 
 #: Auto-mode crossover: largest n where the exact solver is still the
 #: better choice.  Measured by ``benchmarks/bench_solver_crossover.py``
-#: (see docs/API.md): fit wall-time is a tie up to ~500 points (both
-#: ~0.4 s); at n=1000 the exact fit costs ~1.9 s versus ~0.55 s for the
-#: subsample-opt + Nystrom build — a 3.5x premium still worth paying for
-#: an approximation-free posterior — but by n=2000 it is ~15 s versus
-#: ~0.7 s (20x, growing cubically) while Nystrom's test RMSE matches
-#: exact to the third decimal and its budget error stays ~1e-3.
+#: (table in benchmarks/README.md): fit wall-time is a tie at 500 points
+#: (both ~0.47 s); at n=1000 the exact fit costs ~1.5 s versus ~0.48 s
+#: for the subsample-opt + Nystrom build — a 3x premium still worth
+#: paying for an approximation-free posterior — but by n=2000 it is
+#: ~10 s versus ~0.5 s (20x, growing cubically) while Nystrom's test
+#: RMSE matches exact to the third decimal and its budget error stays
+#: ~1e-3.
 AUTO_EXACT_MAX = 1000
 
 
@@ -81,12 +78,10 @@ class SolverConfig:
     Attributes
     ----------
     name:
-        ``"exact"``, ``"nystrom"``, ``"rff"``, or ``"auto"`` (pick by
-        training-set size at each fit).
+        ``"exact"``, ``"nystrom"``, or ``"auto"`` (pick by training-set
+        size at each fit).
     n_inducing:
         Inducing points ``m`` for the Nystrom backend.
-    n_features:
-        Random Fourier features ``D`` for the RFF backend.
     opt_subset:
         Hyperparameter optimization runs on at most this many training
         rows (exact LML on the subsample); the approximate posterior is
@@ -95,13 +90,6 @@ class SolverConfig:
         Declared error budget: maximum allowed deviation of the
         approximate predictive mean / std from the exact posterior at
         the probe points, in units of the target standard deviation.
-        ``None`` (the default) resolves per backend — 0.05 / 0.10 for
-        Nystrom (and ``auto``), 0.30 / 0.15 for RFF, whose kernel
-        approximation error is O(sqrt(2/D)) ~ 0.09 per entry at the
-        default ``n_features=256`` and cannot honestly promise the
-        Nystrom budget.  Raising ``n_features`` tightens the achievable
-        error (4x features ~ half the error); declare a tighter budget
-        alongside it if you rely on one.
     budget_probes:
         Number of held-out probe points for the budget check.
     budget_max_exact:
@@ -112,16 +100,15 @@ class SolverConfig:
         ``auto`` uses the exact solver up to this n and Nystrom beyond.
     seed:
         Seed of the solver's private RNG (subsample choice, inducing
-        selection, feature frequencies, probe points).  Independent of
-        the regressor's restart RNG so the exact path draws nothing.
+        selection, probe points).  Independent of the regressor's
+        restart RNG so the exact path draws nothing.
     """
 
     name: str = "exact"
     n_inducing: int = 256
-    n_features: int = 256
     opt_subset: int = 512
-    budget_mean: float | None = None
-    budget_std: float | None = None
+    budget_mean: float = 0.05
+    budget_std: float = 0.10
     budget_probes: int = 128
     budget_max_exact: int = 2048
     auto_exact_max: int = AUTO_EXACT_MAX
@@ -132,15 +119,7 @@ class SolverConfig:
             raise ValueError(
                 f"unknown solver {self.name!r}; expected one of {SOLVER_NAMES}"
             )
-        if self.budget_mean is None:
-            object.__setattr__(
-                self, "budget_mean", 0.30 if self.name == "rff" else 0.05
-            )
-        if self.budget_std is None:
-            object.__setattr__(
-                self, "budget_std", 0.15 if self.name == "rff" else 0.10
-            )
-        for attr in ("n_inducing", "n_features", "opt_subset", "budget_probes"):
+        for attr in ("n_inducing", "opt_subset", "budget_probes"):
             if int(getattr(self, attr)) < 1:
                 raise ValueError(f"{attr} must be >= 1")
         if self.budget_mean <= 0 or self.budget_std <= 0:
@@ -158,7 +137,6 @@ class SolverConfig:
         return {
             "name": self.name,
             "n_inducing": int(self.n_inducing),
-            "n_features": int(self.n_features),
             "opt_subset": int(self.opt_subset),
             "budget_mean": float(self.budget_mean),
             "budget_std": float(self.budget_std),
@@ -200,9 +178,9 @@ def resolve_solver(spec) -> SolverConfig:
 class ApproxFitState:
     """Posterior cache of one approximate fit.
 
-    ``arrays`` holds the backend-specific factors (inducing inputs and
-    small Cholesky factors for Nystrom; frequencies and feature factors
-    for RFF).  ``X``/``y`` (normalized targets) are kept in memory so
+    ``arrays`` holds the backend-specific factors (for Nystrom, the
+    inducing inputs and two small Cholesky factors).  ``X``/``y``
+    (normalized targets) are kept in memory so
     :meth:`~repro.gp.gpr.GaussianProcessRegressor.update` can rebuild the
     posterior, but they are **not** serialized — a restored approximate
     model predicts from the compact factors alone.
@@ -269,96 +247,45 @@ def training_hash(X: np.ndarray, y_norm: np.ndarray, y_mean: float, y_std: float
     return h.hexdigest()
 
 
-# ------------------------------------------------------------------ RFF
+# ---------------------------------------------------------------- exact
 
 
-def rbf_spectral_params(kernel, n_features_in: int) -> tuple[float, np.ndarray]:
-    """Extract ``(amplitude, length_scales)`` from a (Constant *) RBF kernel.
+def add_noise_diagonal(K, noise_variance, jitter, alpha=None):
+    """Turn a kernel matrix into ``K_y`` in place and return it.
 
-    The RFF backend needs the spectral density of the covariance, which
-    this repo's kernel algebra spells as ``ConstantKernel * RBF`` (either
-    operand order) or a bare ``RBF``.  Anything else — Matern, sums,
-    White terms — raises ``ValueError`` with a pointer at the Nystrom
-    backend, which handles arbitrary kernels.
+    Adds ``sigma_n^2 + jitter`` to the diagonal, then the per-point noise
+    variances ``alpha`` (in the units of the targets ``K_y`` is paired
+    with) when given.  A 1-D ``K`` is taken to be the diagonal itself.
     """
-    from .kernels import RBF, ConstantKernel, Matern, Product
-
-    amplitude = 1.0
-    rbf = None
-    if isinstance(kernel, Product):
-        k1, k2 = kernel.k1, kernel.k2
-        if isinstance(k1, ConstantKernel) and type(k2) is RBF:
-            amplitude, rbf = k1.constant_value, k2
-        elif isinstance(k2, ConstantKernel) and type(k1) is RBF:
-            amplitude, rbf = k2.constant_value, k1
-    elif type(kernel) is RBF:
-        rbf = kernel
-    if rbf is None or isinstance(rbf, Matern):
-        raise ValueError(
-            f"the rff solver supports ConstantKernel * RBF kernels only, "
-            f"got {kernel!r}; use solver='nystrom' for arbitrary kernels"
-        )
-    ls = np.atleast_1d(np.asarray(rbf.length_scale, dtype=float))
-    if ls.size == 1:
-        ls = np.full(n_features_in, float(ls[0]))
-    elif ls.size != n_features_in:
-        raise ValueError(
-            f"ARD length_scale has {ls.size} entries for {n_features_in} features"
-        )
-    return float(amplitude), ls
+    diag = np.einsum("ii->i", K) if K.ndim == 2 else K  # writable view
+    diag += noise_variance + jitter
+    if alpha is not None:
+        diag += alpha
+    return K
 
 
-def _rff_features(X: np.ndarray, arrays: dict) -> np.ndarray:
-    """Feature map ``phi(X)`` of shape ``(n, D)`` for the stored frequencies."""
-    proj = X @ arrays["W"].T + arrays["b"]
-    return float(arrays["scale"][0]) * np.cos(proj)
+def exact_posterior(kernel, noise_variance, jitter, X, y_norm, alpha=None):
+    """Lower Cholesky factor ``L`` of ``K_y`` and the weights ``K_y^{-1} y``."""
+    K = add_noise_diagonal(kernel(X), noise_variance, jitter, alpha)
+    L = cholesky(K, lower=True, check_finite=False)
+    return L, cho_solve((L, True), y_norm, check_finite=False)
 
 
-def _fit_rff(kernel, noise_variance, jitter, X, y_norm, cfg, rng) -> dict:
-    amplitude, length_scales = rbf_spectral_params(kernel, X.shape[1])
-    D = int(cfg.n_features)
-    W = rng.standard_normal((D, X.shape[1])) / length_scales
-    b = rng.uniform(0.0, 2.0 * math.pi, size=D)
-    scale = math.sqrt(2.0 * max(amplitude, 0.0) / D)
-    arrays = {"W": W, "b": b, "scale": np.array([scale])}
-    # Accumulate A = Phi^T Phi and Phi^T y in row chunks so the (n, D)
-    # feature matrix never materializes at once (100k x 1024 is 800 MB).
-    n = X.shape[0]
-    A = np.zeros((D, D))
-    phi_y = np.zeros(D)
-    for start in range(0, n, _CHUNK_ROWS):
-        phi_c = _rff_features(X[start : start + _CHUNK_ROWS], arrays)
-        A += phi_c.T @ phi_c
-        phi_y += phi_c.T @ y_norm[start : start + _CHUNK_ROWS]
-    A[np.diag_indices_from(A)] += noise_variance + jitter
-    La = _chol_relative(A, 1e-12)
-    w = cho_solve((La, True), phi_y, check_finite=False)
-    arrays["La"] = La
-    arrays["w"] = w
+def predict_exact(kernel, X, L, weights, Xq, want=None):
+    """Exact latent predictive mean (and variance/covariance), normalized units.
 
-    # Marginal likelihood of the feature-space linear model
-    # y ~ N(0, Phi Phi^T + sigma_n^2 I) via the determinant lemma.
-    sn2 = noise_variance + jitter
-    quad = (float(y_norm @ y_norm) - float(phi_y @ w)) / sn2
-    logdet = (
-        2.0 * float(np.sum(np.log(np.diag(La))))
-        - D * math.log(sn2)
-        + n * math.log(sn2)
-    )
-    arrays["lml"] = np.array([-0.5 * (quad + logdet + n * _LOG_2PI)])
-    return arrays
-
-
-def _predict_rff(arrays, kernel, noise_variance, jitter, Xq, want):
-    phi = _rff_features(Xq, arrays)
-    mean = phi @ arrays["w"]
+    ``want`` follows :func:`predict_backend`; the caller applies the same
+    clamping, noise term and un-normalization to every backend.
+    """
+    K_star = kernel(Xq, X)  # (q, n)
+    mean = K_star @ weights
     if want is None:
         return mean, None
-    sn2 = noise_variance + jitter
-    v = solve_triangular(arrays["La"], phi.T, lower=True, check_finite=False)
+    # v = L^{-1} k_*
+    v = solve_triangular(L, K_star.T, lower=True, check_finite=False)
     if want == "cov":
-        return mean, sn2 * (v.T @ v)
-    return mean, sn2 * np.sum(v**2, axis=0)
+        return mean, kernel(Xq) - v.T @ v
+    return mean, kernel.diag(Xq) - np.sum(v**2, axis=0)
 
 
 # -------------------------------------------------------------- Nystrom
@@ -441,16 +368,13 @@ def _predict_nystrom(arrays, kernel, noise_variance, jitter, Xq, want):
 # ------------------------------------------------------------- dispatch
 
 
-_BACKENDS = {
-    "nystrom": (_fit_nystrom, _predict_nystrom),
-    "rff": (_fit_rff, _predict_rff),
-}
+_BACKENDS = {"nystrom": (_fit_nystrom, _predict_nystrom)}
 
 #: Backends whose posterior factorization can carry a per-point noise
 #: variance vector (heteroscedastic ``fit(alpha=...)``).  The low-rank
-#: backends build ``K_y`` implicitly through inducing points / random
-#: features and have no per-row diagonal to attach ``alpha`` to, so they
-#: declare it unsupported; ``GaussianProcessRegressor.fit`` falls back to
+#: Nystrom backend builds ``K_y`` implicitly through inducing points and
+#: has no per-row diagonal to attach ``alpha`` to, so it declares it
+#: unsupported; ``GaussianProcessRegressor.fit`` falls back to
 #: the exact solver (with a warning) when ``alpha`` is given.
 PER_POINT_NOISE_BACKENDS = frozenset({"exact"})
 
@@ -530,14 +454,9 @@ def check_error_budget(
     lo, hi = X.min(axis=0), X.max(axis=0)
     probes = rng.uniform(lo, hi, size=(int(cfg.budget_probes), X.shape[1]))
 
-    K = kernel(X)
-    K[np.diag_indices_from(K)] += noise_variance + jitter
-    L = cholesky(K, lower=True, check_finite=False)
-    alpha = cho_solve((L, True), y_norm, check_finite=False)
-    K_star = kernel(probes, X)
-    mean_exact = K_star @ alpha
-    v = solve_triangular(L, K_star.T, lower=True, check_finite=False)
-    var_exact = np.maximum(kernel.diag(probes) - np.sum(v**2, axis=0), 0.0)
+    L, weights = exact_posterior(kernel, noise_variance, jitter, X, y_norm)
+    mean_exact, var_exact = predict_exact(kernel, X, L, weights, probes, want="var")
+    var_exact = np.maximum(var_exact, 0.0)
 
     mean_ap, var_ap = predict_backend(
         state, kernel, noise_variance, jitter, probes, want="var"

@@ -38,3 +38,10 @@ def test_rerun_resumes_from_checkpoint_dir(tmp_path, capsys, mode):
     assert first["stop_reason"].strip() == "completed"
     # A finished checkpoint resumes without running (or rewriting) a round.
     assert checkpoint.read_bytes() == written
+
+
+def test_removed_rff_solver_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--solver", "rff"])
+    assert exc.value.code == 2
+    assert "'exact', 'nystrom', 'auto'" in capsys.readouterr().err

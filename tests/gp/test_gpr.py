@@ -100,6 +100,84 @@ def test_lml_evaluation_restores_state(small_1d_problem):
     np.testing.assert_allclose(model._theta(), theta_before)
 
 
+def test_lml_evaluation_is_thread_safe(small_1d_problem):
+    """Concurrent LML evaluations on one model neither interfere nor mutate it.
+
+    Restart threads share one objective, and a served model may be scored
+    while a client evaluates its likelihood; evaluating at ``theta`` must
+    therefore read the model without installing ``theta`` on it.
+    """
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    model, X, y = _fitted(small_1d_problem)
+    theta0 = model._theta().copy()
+    rng = np.random.default_rng(11)
+    thetas = [theta0 + rng.normal(0.0, 0.5, theta0.size) for _ in range(64)]
+    serial = [model.log_marginal_likelihood(t, eval_gradient=True) for t in thetas]
+
+    def evaluate(theta):
+        return model.log_marginal_likelihood(theta, eval_gradient=True)
+
+    mismatches = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often to expose races
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(5):
+                results = pool.map(evaluate, thetas, timeout=120)
+                for (lml, grad), (lml_s, grad_s) in zip(results, serial):
+                    if lml != lml_s or not np.array_equal(grad, grad_s):
+                        mismatches += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == 0, f"{mismatches} of {5 * len(thetas)} calls differed"
+    np.testing.assert_array_equal(model._theta(), theta0)
+
+
+def _hostile_model(duplicates, y_scale, with_alpha, seed=5):
+    """A fitted ``normalize_y`` model on a numerically awkward problem."""
+    rng = np.random.default_rng(seed)
+    X = np.sort(rng.uniform(0.0, 6.0, 12))[:, np.newaxis]
+    if duplicates:
+        X = np.vstack([X, X[:4], X[:2]])
+    y = y_scale * (np.sin(X[:, 0]) + 0.1 * rng.standard_normal(X.shape[0]))
+    alpha = (
+        np.geomspace(1e-3, 0.5, X.shape[0]) * y_scale**2 if with_alpha else None
+    )
+    model = GaussianProcessRegressor(normalize_y=True, rng=0, n_restarts=1)
+    return model.fit(X, y, alpha=alpha)
+
+
+@pytest.mark.parametrize("with_alpha", [False, True], ids=["scalar", "alpha"])
+@pytest.mark.parametrize("theta_at", ["optimum", "lower", "upper"])
+@pytest.mark.parametrize("y_scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "dup"])
+def test_lml_gradient_matches_finite_differences_on_hostile_inputs(
+    duplicates, y_scale, theta_at, with_alpha
+):
+    """Duplicate rows, targets at 1e+-6 and hyperparameters on their bounds."""
+    model = _hostile_model(duplicates, y_scale, with_alpha)
+    theta = model._theta()
+    if theta_at != "optimum":
+        theta = model._theta_bounds()[:, 0 if theta_at == "lower" else 1].copy()
+    lml, grad = model.log_marginal_likelihood(theta, eval_gradient=True)
+    assert np.isfinite(lml)
+    # Duplicate rows at the noise floor give |LML| ~ 1e7 with cond(K_y) ~ 1e5,
+    # so each LML value carries ~1e-4 of round-off; a 1e-6 step would turn
+    # that into a finite-difference error of 10 or more.  A 1e-4 step keeps
+    # both round-off and truncation well inside the tolerance.
+    eps = 1e-4
+    for j in range(theta.size):
+        tp, tm = theta.copy(), theta.copy()
+        tp[j] += eps
+        tm[j] -= eps
+        num = (
+            model.log_marginal_likelihood(tp) - model.log_marginal_likelihood(tm)
+        ) / (2 * eps)
+        assert grad[j] == pytest.approx(num, abs=1e-4, rel=1e-4)
+
+
 def test_optimizer_improves_lml(small_1d_problem):
     X, y = small_1d_problem
     unopt = GaussianProcessRegressor(optimizer=None)

@@ -1,4 +1,4 @@
-"""Tests for the pluggable solver backends (exact / Nystrom / RFF / auto)."""
+"""Tests for the pluggable solver backends (exact / Nystrom / auto)."""
 
 import json
 import time
@@ -8,9 +8,7 @@ import pytest
 
 from repro.gp import (
     AUTO_EXACT_MAX,
-    ConstantKernel,
     GaussianProcessRegressor,
-    Matern,
     SolverConfig,
     resolve_solver,
 )
@@ -41,7 +39,7 @@ def _model(solver, **kw):
 def test_resolve_solver_coercions():
     assert resolve_solver(None).name == "exact"
     assert resolve_solver("nystrom").name == "nystrom"
-    cfg = SolverConfig(name="rff", n_features=64)
+    cfg = SolverConfig(name="nystrom", n_inducing=64)
     assert resolve_solver(cfg) is cfg
     assert resolve_solver(cfg.to_dict()) == cfg
     with pytest.raises(ValueError, match="unknown solver"):
@@ -60,18 +58,40 @@ def test_config_round_trip_and_validation():
 
 
 def test_backend_aware_default_budgets():
-    # RFF's kernel approximation error is O(sqrt(2/D)); its declared
-    # default budget must reflect that, not Nystrom's.
     assert SolverConfig(name="nystrom").budget_mean == pytest.approx(0.05)
-    assert SolverConfig(name="rff").budget_mean == pytest.approx(0.30)
-    assert SolverConfig(name="rff", budget_mean=0.02).budget_mean == pytest.approx(0.02)
+    assert SolverConfig(name="nystrom").budget_std == pytest.approx(0.10)
+    assert SolverConfig(name="nystrom", budget_mean=0.02).budget_mean == pytest.approx(0.02)
+
+
+def test_removed_rff_backend_names_the_valid_ones():
+    with pytest.raises(ValueError, match="'exact', 'nystrom', 'auto'"):
+        resolve_solver("rff")
+    with pytest.raises(ValueError, match="'exact', 'nystrom', 'auto'"):
+        SolverConfig(name="rff")
+    payload = _model("exact").fit(*_problem(20)).to_dict()
+    payload["solver"] = dict(payload["solver"], name="rff")
+    with pytest.raises(ValueError, match="'exact', 'nystrom', 'auto'"):
+        GaussianProcessRegressor.from_dict(payload)
+
+
+def test_payload_with_n_features_still_loads():
+    # Payloads written while the random Fourier feature backend existed
+    # carry a solver "n_features" entry; from_dict drops unknown keys.
+    X, y = _problem(40)
+    model = _model({"name": "nystrom", "n_inducing": 16}).fit(X, y)
+    payload = json.loads(json.dumps(model.to_dict()))
+    payload["solver"]["n_features"] = 256
+    restored = GaussianProcessRegressor.from_dict(payload)
+    assert restored.solver == model.solver
+    Xq, _ = _problem(10, seed=4)
+    assert np.array_equal(restored.predict(Xq), model.predict(Xq))
 
 
 def test_auto_effective_backend():
     cfg = SolverConfig(name="auto", auto_exact_max=50)
     assert cfg.effective_backend(50) == "exact"
     assert cfg.effective_backend(51) == "nystrom"
-    assert SolverConfig(name="rff").effective_backend(10**6) == "rff"
+    assert SolverConfig(name="nystrom").effective_backend(10) == "nystrom"
     assert AUTO_EXACT_MAX >= 500  # sanity: crossover stays in the measured range
 
 
@@ -109,7 +129,7 @@ def test_auto_switches_backend_by_pool_size():
 # ------------------------------------------------------- accuracy vs exact
 
 
-@pytest.mark.parametrize("backend", ["nystrom", "rff"])
+@pytest.mark.parametrize("backend", ["nystrom"])
 def test_approx_matches_exact_within_budget(backend):
     X, y = _problem(400)
     exact = _model("exact").fit(X, y)
@@ -136,21 +156,13 @@ def test_budget_unchecked_above_cap_is_not_passed():
     assert budget["within_budget"] is None
 
 
-def test_rff_requires_rbf_kernel():
-    X, y = _problem(60)
-    kernel = ConstantKernel(1.0) * Matern(length_scale=1.0, nu=1.5)
-    model = _model("rff", kernel=kernel)
-    with pytest.raises(ValueError, match="nystrom"):
-        model.fit(X, y)
-
-
 # --------------------------------------------------- posterior API parity
 
 
-@pytest.mark.parametrize("backend", ["nystrom", "rff"])
+@pytest.mark.parametrize("backend", ["nystrom"])
 def test_predict_paths_and_sampling(backend):
     X, y = _problem(120)
-    model = _model({"name": backend, "n_inducing": 64, "n_features": 128})
+    model = _model({"name": backend, "n_inducing": 64})
     model.fit(X, y)
     Xq, _ = _problem(25, seed=5)
     mean = model.predict(Xq)
@@ -199,7 +211,7 @@ def test_update_and_clone_approx():
 
 def test_serialize_round_trip_approx():
     X, y = _problem(90)
-    model = _model({"name": "rff", "n_features": 64}).fit(X, y)
+    model = _model({"name": "nystrom", "n_inducing": 32}).fit(X, y)
     payload = json.loads(json.dumps(model.to_dict()))
     restored = GaussianProcessRegressor.from_dict(payload)
     Xq, _ = _problem(20, seed=2)
@@ -208,7 +220,7 @@ def test_serialize_round_trip_approx():
     assert np.allclose(m0, m1, atol=0, rtol=0)
     assert np.allclose(s0, s1, atol=0, rtol=0)
     assert restored.training_hash() == model.training_hash()
-    assert restored.solver_info["name"] == "rff"
+    assert restored.solver_info["name"] == "nystrom"
     # Compact factors only: training data is not serialized, so update
     # and training-set accessors must refuse rather than mispredict.
     with pytest.raises(RuntimeError):
