@@ -172,8 +172,8 @@ class CampaignCheckpoint:
     Stored as a single JSON document through the checkpoint codec of
     :mod:`repro.al.session`; everything needed to continue the campaign
     bit-identically is captured, including the campaign RNG state (and the
-    executor's and strategy's tie-break and sampling RNG states).  A
-    ``fast_refits`` resume rebuilds the model by replaying ``fit_counts``.
+    executor's and strategy's tie-break and sampling RNG states).  A resume
+    rebuilds the model and the gate's snapshot by replaying ``fit_counts``.
     """
 
     version: int
@@ -200,9 +200,8 @@ class CampaignCheckpoint:
     strategy_sampling_rng_state: dict | None = None
     # Guardrail bookkeeping (None for unguarded campaigns and pre-guardrail
     # checkpoints): tallies, escalation level, reference LML, stop reason.
-    # Loaded after the fit replay.  The drift detector, the node breaker
-    # and the slow path's last-known-good snapshot restart cold on resume
-    # (see docs/GUARDRAILS.md).
+    # Loaded after the fit replay.  The drift detector and the node
+    # breaker restart cold on resume (see docs/GUARDRAILS.md).
     guardrail_state: dict | None = None
 
 
@@ -299,10 +298,9 @@ class OnlineCampaign:
         defaults) enables post-fit health checks with last-known-good
         rollback and escalating remediation, Page-Hinkley drift detection
         on prediction residuals, and the wall-clock/cost watchdog.
-        Guarded ``fast_refits`` campaigns resume bit-identically: the resume
-        replays every recorded fit through the gate.  What restarts cold on
-        resume: the drift detector, and without ``fast_refits`` the
-        rollback snapshot (its fits are not replayed).
+        Guarded campaigns resume bit-identically: the resume replays every
+        recorded fit through the gate.  The drift detector restarts cold on
+        resume.
     breaker:
         ``None`` (default) schedules on all nodes.  A
         :class:`~repro.cluster.breaker.NodeCircuitBreaker` (or a
@@ -605,15 +603,15 @@ class OnlineCampaign:
 
             return self._continue(state, checkpoint_path)
 
-    def resume(self, path, *, checkpoint_path="same") -> CampaignResult:
+    def resume(self, path) -> CampaignResult:
         """Continue a killed campaign from its checkpoint file.
 
         The campaign object must be constructed with the same
         configuration, executor, strategy and seed as the original; the
         checkpoint restores the measured data, accounting and RNG states,
-        so the continuation is bit-identical to the uninterrupted run.
-        ``checkpoint_path`` defaults to continuing to checkpoint into the
-        same file; pass ``None`` to disable further checkpointing.
+        and every recorded fit is replayed through the model chain and the
+        gate, so the continuation is bit-identical to the uninterrupted
+        run.  Checkpointing continues into ``path``.
         """
         expect = self._checkpoint_config()
         payload = read_checkpoint(
@@ -645,17 +643,15 @@ class OnlineCampaign:
             next_round=state.next_round,
             seed_index=state.seed_index,
         ):
-            if self.fast_refits:
-                # Rebuild the carried model and the gate's snapshot; without
-                # fast_refits every round refits from scratch anyway.
-                for round_index, n_now in enumerate(state.fit_counts):
-                    if n_now:
-                        self._chain.step(
-                            round_index,
-                            np.vstack(state.measured_X[:n_now]),
-                            np.asarray(state.measured_y[:n_now], dtype=float),
-                            replay=True,
-                        )
+            # Rebuild the carried model and the gate's snapshot.
+            for round_index, n_now in enumerate(state.fit_counts):
+                if n_now:
+                    self._chain.step(
+                        round_index,
+                        np.vstack(state.measured_X[:n_now]),
+                        np.asarray(state.measured_y[:n_now], dtype=float),
+                        replay=True,
+                    )
             if checkpoint.guardrail_state:
                 gs = checkpoint.guardrail_state
                 self._gate.load_state(gs)
@@ -666,9 +662,7 @@ class OnlineCampaign:
                     tallies.n_breaker_probes,
                     tallies.n_breaker_blacklisted,
                 )
-            if checkpoint_path == "same":
-                checkpoint_path = path
-            return self._continue(state, checkpoint_path)
+            return self._continue(state, path)
 
     def _stop_cluster_unavailable(
         self, state: _CampaignState, exc: AllNodesOpenError
@@ -870,10 +864,6 @@ class OnlineCampaign:
         if self._guarded:
             self._sync_breaker_tallies()
             tallies = self._gate.tallies
-            acct.n_rollbacks = tallies.n_rollbacks
-            acct.n_drift_events = tallies.n_drift_events
-            acct.n_breaker_opens = tallies.n_breaker_opens
-            acct.n_watchdog_stops = tallies.n_watchdog_stops
         return CampaignResult(
             X=X,
             y=np.asarray(state.measured_y, dtype=float),

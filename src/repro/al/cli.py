@@ -237,7 +237,7 @@ def _run_sharded(args) -> int:
 
     result, resumed = _traced(
         args,
-        lambda: run_or_resume(learner, args.checkpoint_dir, marker="manifest.json"),
+        lambda: run_or_resume(learner, _checkpoint_file(args, "manifest.json")),
     )
 
     from .metrics import rmse as rmse_metric

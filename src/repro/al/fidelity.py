@@ -682,36 +682,24 @@ class MultiFidelityLearner:
 
     # -------------------------------------------------------------------- loop
 
-    def run(
-        self, checkpoint_path=None, *, stop_after_round: int | None = None
-    ) -> MultiFidelityResult:
-        """Run the campaign (initial design + ``n_rounds`` acquisitions).
+    def run(self, checkpoint_path=None) -> MultiFidelityResult:
+        """Run the campaign (initial design + ``n_rounds`` acquisitions)."""
+        return self._continue(checkpoint_path, resumed=False)
 
-        ``stop_after_round`` halts early *without* finalizing — the
-        checkpoint then holds a half-finished campaign for
-        :meth:`resume` (used by the crash-recovery tests; a real crash
-        leaves the same state behind).
+    def resume(self, path) -> MultiFidelityResult:
+        """Restore a checkpoint and continue to completion, bit-identically.
+
+        Checkpointing continues into ``path``.
         """
-        return self._continue(checkpoint_path, stop_after_round, resumed=False)
-
-    def resume(self, checkpoint_path) -> MultiFidelityResult:
-        """Restore a checkpoint and continue to completion, bit-identically."""
-        self._load_checkpoint(checkpoint_path)
+        self._load_checkpoint(path)
         tm.count("fidelity.checkpoint.resumed")
-        return self._continue(checkpoint_path, None, resumed=True)
+        return self._continue(path, resumed=True)
 
-    def _continue(
-        self, checkpoint_path, stop_after_round, *, resumed: bool
-    ) -> MultiFidelityResult:
+    def _continue(self, checkpoint_path, *, resumed: bool) -> MultiFidelityResult:
         if not self._initial_done:
             self._initial_design()
             self._save_checkpoint(checkpoint_path)
         while self._next_round < self.n_rounds:
-            if (
-                stop_after_round is not None
-                and self._next_round >= stop_after_round
-            ):
-                return self._result("stopped", resumed=resumed)
             round_index = self._next_round
             with tm.span(
                 "fidelity.round",
@@ -764,20 +752,14 @@ class MultiFidelityLearner:
                 )
         # Final refit so the returned model includes the last observation.
         self.model = self._chain.step(self.n_rounds, *self.fusion.fused())
-        return self._result("completed", resumed=resumed)
-
-    def _result(self, stop_reason: str, *, resumed: bool) -> MultiFidelityResult:
-        final_rmse = (
-            self._rmse(self.model) if self.model is not None else float("nan")
-        )
         return MultiFidelityResult(
-            stop_reason=stop_reason,
+            stop_reason="completed",
             rounds=list(self.records),
             model=self.model,
             cumulative_cost=float(self._cumulative_cost),
             tier_counts=dict(self.tier_counts),
             n_locations=self.fusion.n_locations,
             y=list(self.y_seen),
-            final_rmse=final_rmse,
+            final_rmse=self._rmse(self.model),
             resumed=resumed,
         )

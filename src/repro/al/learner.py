@@ -373,7 +373,7 @@ class ActiveLearner:
         model.noise_variance = max(model.noise_variance, floor)
 
     def _advance(self, iteration: int, *, replay: bool = False):
-        """The iteration's model (``None`` on a slow replay); refits a cost model."""
+        """The iteration's model; refits a due cost model first."""
         strategy = self.strategy
         if (
             self._chain.full_fit_due(iteration)
@@ -383,8 +383,6 @@ class ActiveLearner:
             strategy.refit_cost_model(self._X_cost, self._costs_known)
             if not replay:
                 tm.count("al.cost_model.refit")
-        if replay and not self.fast_refits:
-            return None  # every slow-path iteration refits from scratch
         return self._chain.step(
             iteration,
             self._X_train,
@@ -508,13 +506,13 @@ class ActiveLearner:
 
         Call on a *freshly constructed* learner with the same dataset,
         partition, strategy and options (the stored config is checked).
-        Every recorded selection is re-ingested from the dataset, never
-        re-measured.  Under ``fast_refits`` each recorded fit step is re-run
-        through the model chain and the gate before the saved gate state is
-        loaded, so guarded runs resume bit-identically too.  What restarts
-        cold: the slow path's last-known-good snapshot (its fits are not
-        replayed) and ``EMCM``'s persistent bootstrap ensemble; such runs
-        resume correctly rather than bit-identically.  Checkpointing
+        Each recorded iteration is replayed: its fit step through the model
+        chain and the gate (the saved gate state is loaded after), then the
+        strategy's selection on that model, which must pick the recorded
+        pool record (else ``ValueError``: the checkpoint is from another
+        run), then the record's ingest from the dataset, never re-measured.
+        The replay rebuilds the gate's last-known-good snapshot and stateful
+        strategies such as ``EMCM``'s bootstrap ensemble.  Checkpointing
         continues into ``path``.
         """
         if self.trace.records:
@@ -523,8 +521,15 @@ class ActiveLearner:
             path, _CHECKPOINT_KIND, _CHECKPOINT_VERSION, expect=self._checkpoint_config()
         )
         for record in map(IterationRecord.from_payload, payload["records"]):
-            self._advance(record.iteration, replay=True)
-            self._ingest(record.selected_pool_index)
+            model = self._advance(record.iteration, replay=True)
+            idx = self.strategy.select(model, self.pool)
+            if idx != record.selected_pool_index:
+                raise ValueError(
+                    f"{_CHECKPOINT_KIND} {path} does not match this run "
+                    f"(iteration {record.iteration} selects pool record {idx}, "
+                    f"the checkpoint recorded {record.selected_pool_index})"
+                )
+            self._ingest(idx)
             self.trace.records.append(record)
         restore_generators(self.strategy.generators(), payload["generators"])
         self._chain.gate.load_state(payload["gate"])

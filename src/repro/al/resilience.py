@@ -223,22 +223,12 @@ class FailureAccounting:
     wasted_core_seconds:
         Core-seconds spent on executions that produced no usable
         observation.
-    n_rollbacks / n_drift_events / n_breaker_opens / n_watchdog_stops:
-        Guardrail interventions (see :mod:`repro.al.guardrails`): unhealthy
-        fits rolled back to the last known good model, drift alarms raised
-        by the residual changepoint detector, circuit-breaker trips in the
-        scheduler, and watchdog budget stops.  All zero when the campaign
-        runs unguarded.
     """
 
     n_failed: int = 0
     n_retries: int = 0
     n_quarantined: int = 0
     wasted_core_seconds: float = 0.0
-    n_rollbacks: int = 0
-    n_drift_events: int = 0
-    n_breaker_opens: int = 0
-    n_watchdog_stops: int = 0
 
     def add(self, other: "FailureAccounting") -> None:
         """Fold another accounting delta into this one."""
@@ -246,10 +236,6 @@ class FailureAccounting:
         self.n_retries += other.n_retries
         self.n_quarantined += other.n_quarantined
         self.wasted_core_seconds += other.wasted_core_seconds
-        self.n_rollbacks += other.n_rollbacks
-        self.n_drift_events += other.n_drift_events
-        self.n_breaker_opens += other.n_breaker_opens
-        self.n_watchdog_stops += other.n_watchdog_stops
 
 
 # ----------------------------------------------------------- shard breaker

@@ -1,4 +1,4 @@
-"""Checkpoint/resume: one codec for every AL loop.
+"""Checkpoint/resume: one codec and one protocol for every AL loop.
 
 The paper's target use case is *online* operation: "every iteration of AL
 includes selecting an experiment, running it, and using the experiment
@@ -9,6 +9,14 @@ through one codec here: :func:`write_json_atomic`, :func:`check_checkpoint`
 (version, then config), :func:`capture_generators` /
 :func:`restore_generators` (RNG states), :func:`dataset_digest` and
 :func:`run_or_resume`.
+
+Every loop (``ActiveLearner``, ``OnlineCampaign``, ``ShardedLearner``,
+``MultiFidelityLearner``) speaks one protocol: ``run(...,
+checkpoint_path=None)`` rewrites one checkpoint file after each round, and
+``resume(path)`` on a freshly built loop continues from it, replaying the
+recorded fits, bit-identically to an uninterrupted run.  The checkpoint
+write is the one crash point: a loop killed anywhere loses at most the
+work since its last completed write.
 
 Example
 -------
@@ -167,14 +175,11 @@ def dataset_digest(*arrays) -> str:
     return digest.hexdigest()
 
 
-def run_or_resume(loop, checkpoint, *, marker: str | None = None):
-    """Resume ``loop`` from ``checkpoint`` if one exists, else run it.
+def run_or_resume(loop, checkpoint):
+    """Resume ``loop`` from the file ``checkpoint`` if it exists, else run it.
 
-    ``checkpoint`` is a file, or a directory holding ``marker`` (the sharded
-    ``manifest.json``); ``None`` runs without checkpointing.  Returns
-    ``(result, resumed)``.
+    ``None`` runs without checkpointing.  Returns ``(result, resumed)``.
     """
-    if checkpoint is not None and Path(checkpoint, marker or "").exists():
+    if checkpoint is not None and Path(checkpoint).exists():
         return loop.resume(checkpoint), True
-    key = "checkpoint_dir" if marker else "checkpoint_path"
-    return loop.run(**{key: checkpoint}), False
+    return loop.run(checkpoint_path=checkpoint), False

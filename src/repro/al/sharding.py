@@ -52,7 +52,6 @@ bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -845,11 +844,11 @@ class ShardedLearner:
     routes the batch through an :class:`AcquisitionRouter`, and adopts
     each measurement into its owner's (append-only) training set.
 
-    Checkpointing writes one atomic ``manifest.json`` (the measurement log
-    plus all RNG/breaker/guardrail state) after every round.
-    :meth:`resume` replays the manifest exactly once — a SIGKILL mid-round
-    loses at most the un-checkpointed round, which is then re-derived
-    bit-identically.
+    ``run(checkpoint_path=)`` atomically rewrites one checkpoint file (the
+    measurement log plus all RNG/breaker/guardrail state; the CLI names it
+    ``manifest.json``) after every round.  :meth:`resume` replays it
+    exactly once — a SIGKILL mid-round loses at most the un-checkpointed
+    round, which is then re-derived bit-identically.
 
     Parameters mirror :class:`~repro.al.learner.ActiveLearner`, plus:
 
@@ -946,10 +945,6 @@ class ShardedLearner:
         self._cumulative_cost = 0.0
         self._models: dict = {}
         self._started = False
-        #: test seam: called with the round index after the round's picks
-        #: are consumed but *before* the checkpoint is written — exactly
-        #: where a SIGKILL loses the most un-persisted work.
-        self._mid_round_hook = None
 
     # ------------------------------------------------------------- plumbing
 
@@ -991,31 +986,30 @@ class ShardedLearner:
 
     # ----------------------------------------------------------- main loop
 
-    def run(self, checkpoint_dir=None) -> CampaignResult:
+    def run(self, checkpoint_path=None) -> CampaignResult:
         """Run the full campaign from scratch (one use per instance)."""
         if self._started:
             raise RuntimeError(
                 "this learner already ran; build a fresh instance (or resume)"
             )
         self._started = True
-        return self._loop(0, checkpoint_dir)
+        return self._loop(0, checkpoint_path)
 
-    def resume(self, checkpoint_dir) -> CampaignResult:
-        """Continue a checkpointed campaign exactly once from disk.
+    def resume(self, path) -> CampaignResult:
+        """Continue a checkpointed campaign exactly once from its file.
 
         Call on a *freshly constructed* learner over the identical
         dataset/partition/config (validated via a dataset hash).  Already
         measured points are replayed from the manifest — never
         re-measured — and the interrupted round, if any, is re-derived
         bit-identically from restored RNG, breaker and last-known-good
-        state.
+        state.  Checkpointing continues into ``path``.
         """
         if self._started:
             raise RuntimeError("resume() requires a freshly constructed learner")
         self._started = True
-        directory = Path(checkpoint_dir)
         manifest = read_checkpoint(
-            directory / "manifest.json",
+            path,
             "sharded campaign checkpoint",
             _MANIFEST_VERSION,
             expect=self._checkpoint_config(),
@@ -1051,7 +1045,7 @@ class ShardedLearner:
             gate.prev_lml_per_point = rec["prev_lml_pp"]
 
         self._rebuild_lkg()
-        return self._loop(int(manifest["next_round"]), directory)
+        return self._loop(int(manifest["next_round"]), path)
 
     def _rebuild_lkg(self) -> None:
         """Re-materialize each shard's last-known-good from its seed key.
@@ -1085,9 +1079,8 @@ class ShardedLearner:
                     GaussianProcessRegressor.from_dict(out["model"])
                 )
 
-    def _loop(self, start_round: int, checkpoint_dir) -> CampaignResult:
+    def _loop(self, start_round: int, checkpoint_path) -> CampaignResult:
         cfg = self.config
-        directory = Path(checkpoint_dir) if checkpoint_dir is not None else None
         stop_reason = "completed"
         for r in range(start_round, cfg.n_rounds):
             with tm.span("shard.round", index=r):
@@ -1140,10 +1133,8 @@ class ShardedLearner:
                     n_picks=len(picks),
                     rmse=rmse_now,
                 )
-                if self._mid_round_hook is not None:
-                    self._mid_round_hook(r)
-                if directory is not None:
-                    self._write_checkpoint(directory, next_round=r + 1)
+                if checkpoint_path is not None:
+                    self._write_checkpoint(checkpoint_path, next_round=r + 1)
 
         final_models: dict = {}
         if self.supervisor.serviceable_shards(cfg.n_rounds):
@@ -1204,7 +1195,7 @@ class ShardedLearner:
             },
         }
 
-    def _write_checkpoint(self, directory: Path, *, next_round: int) -> None:
+    def _write_checkpoint(self, path, *, next_round: int) -> None:
         sup = self.supervisor
         write_json_atomic(
             {
@@ -1220,7 +1211,7 @@ class ShardedLearner:
                 "total_fit_rounds": sup.total_rounds,
                 "tallies": sup.tallies.as_dict(),
             },
-            directory / "manifest.json",
+            path,
         )
         tm.count("shard.checkpoint.writes")
 

@@ -7,8 +7,8 @@ checkpoint codec (:mod:`repro.al.session`):
   under 20% injected faults, killed after six executions (plain, and with
   ``fast_refits=True, refit_every=2``);
 * ``sharded/manifest.json`` -- a fault-injected :class:`ShardedLearner`
-  with per-shard ``RandomSampling``, interrupted in round 3;
-* ``multifidelity.json`` -- a :class:`MultiFidelityLearner` stopped after
+  with per-shard ``RandomSampling``, killed in round 3;
+* ``multifidelity.json`` -- a :class:`MultiFidelityLearner` killed in
   round 2;
 * ``replicates/`` -- a two-replicate sweep whose replicate 0 finished
   (``replicate-0000.result.json``) and whose replicate 1 was killed
@@ -31,12 +31,14 @@ import hashlib
 import json
 import re
 import shutil
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.al import ActiveLearner, default_model_factory
+from repro.al import fidelity, session, sharding
 from repro.al.campaign import CampaignConfig, OnlineCampaign
 from repro.al.fidelity import FidelityTier, MultiFidelityLearner, MultiFidelityOracle
 from repro.al.partition import random_partition
@@ -74,6 +76,38 @@ def _floats(values) -> list[str]:
 
 class _Killed(RuntimeError):
     pass
+
+
+class _WriteKill:
+    """``write_json_atomic`` that counts its calls and raises at ``kill_at``."""
+
+    def __init__(self, kill_at=None):
+        self.kill_at = kill_at
+        self.n_writes = 0
+
+    def __call__(self, payload, path):
+        self.n_writes += 1
+        if self.n_writes == self.kill_at:
+            raise _Killed(f"killed at checkpoint write {self.kill_at}")
+        return session.write_json_atomic(payload, path)
+
+
+@contextmanager
+def _write_kill(kill_at, *modules):
+    """Route ``modules``' checkpoint writes through one :class:`_WriteKill`.
+
+    A loop whose write ``kill_at`` raises has done that round's work but not
+    saved it: the state a crash leaves behind.
+    """
+    kill = _WriteKill(kill_at)
+    saved = [module.write_json_atomic for module in modules]
+    for module in modules:
+        module.write_json_atomic = kill
+    try:
+        yield kill
+    finally:
+        for module, write in zip(modules, saved):
+            module.write_json_atomic = write
 
 
 class _KillSwitch:
@@ -173,7 +207,8 @@ def _sharded_digest(learner, result) -> str:
 def test_sharded_manifest_resumes_to_parent_digest(tmp_path):
     directory = shutil.copytree(DATA / "sharded", tmp_path / "sharded")
     learner = _sharded()
-    assert _sharded_digest(learner, learner.resume(directory)) == DIGESTS["sharded"]
+    result = learner.resume(directory / "manifest.json")
+    assert _sharded_digest(learner, result) == DIGESTS["sharded"]
 
 
 # ---------------------------------------------------------- multi-fidelity
@@ -282,7 +317,7 @@ DOCUMENTS = {
     ),
     "sharded campaign checkpoint": (
         "sharded/manifest.json",
-        lambda root: _sharded().resume(root / "sharded"),
+        lambda root: _sharded().resume(root / "sharded" / "manifest.json"),
     ),
     "multi-fidelity checkpoint": (
         "multifidelity.json",
@@ -366,22 +401,20 @@ def _write_fixtures(data: Path) -> dict:
 
     learner = _sharded()
     digests["sharded"] = _sharded_digest(learner, learner.run())
-    victim = _sharded()
-
-    def bomb(round_index):
-        if round_index == 3:
-            raise _Killed("interrupted in round 3")
-
-    victim._mid_round_hook = bomb
-    try:
-        victim.run(checkpoint_dir=data / "sharded")
-    except _Killed:
-        pass
+    # Killed in round 3: the fourth write would have saved it.
+    with _write_kill(4, sharding):
+        try:
+            _sharded().run(checkpoint_path=data / "sharded" / "manifest.json")
+        except _Killed:
+            pass
 
     digests["multifidelity.json"] = _multifidelity_digest(_multifidelity().run())
-    _multifidelity().run(
-        checkpoint_path=data / "multifidelity.json", stop_after_round=2
-    )
+    # Writes 1-3 save the initial design and rounds 0-1.
+    with _write_kill(4, fidelity):
+        try:
+            _multifidelity().run(checkpoint_path=data / "multifidelity.json")
+        except _Killed:
+            pass
 
     digests["replicates"] = _sweep_digest(_sweep())
     try:

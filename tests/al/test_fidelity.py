@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.al import fidelity
 from repro.al.fidelity import (
     FidelityTier,
     FusionState,
@@ -13,6 +14,8 @@ from repro.al.fidelity import (
     MultiFidelityOracle,
     tiers_from_spec,
 )
+
+from .test_checkpoint_compat import _Killed, _write_kill
 
 TIERS = (
     FidelityTier("probe", cost_multiplier=0.1, noise_variance=0.0225),
@@ -259,15 +262,21 @@ def test_learner_validation():
         MultiFidelityLearner(oracle, np.zeros((0, 2)))
 
 
+def _killed_after(path, n_rounds):
+    """Run with checkpointing, killed once ``n_rounds`` rounds are saved."""
+    # Write 1 saves the initial design and write r + 1 the first r rounds.
+    with _write_kill(n_rounds + 2, fidelity), pytest.raises(_Killed):
+        _learner().run(checkpoint_path=path)
+
+
 def test_checkpoint_resume_is_bit_identical(tmp_path):
     full_path = tmp_path / "full.json"
     part_path = tmp_path / "part.json"
 
     r_full = _learner().run(checkpoint_path=full_path)
 
-    stopped = _learner().run(checkpoint_path=part_path, stop_after_round=3)
-    assert stopped.stop_reason == "stopped"
-    assert len(stopped.rounds) == 3
+    _killed_after(part_path, 3)
+    assert len(json.loads(part_path.read_text())["records"]) == 3
 
     r_res = _learner().resume(part_path)
     assert r_res.stop_reason == "completed"
@@ -284,7 +293,7 @@ def test_checkpoint_resume_is_bit_identical(tmp_path):
 
 def test_resume_rejects_mismatched_configuration(tmp_path):
     path = tmp_path / "ck.json"
-    _learner().run(checkpoint_path=path, stop_after_round=2)
+    _killed_after(path, 2)
     other = _learner(n_rounds=99)
     with pytest.raises(ValueError, match="n_rounds"):
         other.resume(path)
@@ -295,7 +304,7 @@ def test_resume_rejects_mismatched_configuration(tmp_path):
 
 def test_checkpoint_is_json_and_versioned(tmp_path):
     path = tmp_path / "ck.json"
-    _learner().run(checkpoint_path=path, stop_after_round=1)
+    _killed_after(path, 1)
     payload = json.loads(path.read_text())
     assert payload["version"] == 1
     assert payload["fusion"]["entries"]

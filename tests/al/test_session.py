@@ -210,6 +210,19 @@ def test_strategy_mismatch_rejected(tmp_path):
         learner.resume(path)
 
 
+def test_foreign_selection_rejected(tmp_path):
+    """The replay re-runs every selection: a recorded pick the strategy
+    does not make marks a checkpoint of another run."""
+    path = tmp_path / "learner.json"
+    _learner().run(3, checkpoint_path=path)
+    payload = json.loads(path.read_text())
+    records = payload["records"]
+    records[1]["selected_pool_index"] = records[0]["selected_pool_index"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="iteration 1 selects pool record"):
+        _learner().resume(path)
+
+
 def test_resume_requires_fresh_learner(tmp_path):
     path = tmp_path / "learner.json"
     learner = _learner()

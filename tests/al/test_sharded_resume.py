@@ -1,7 +1,8 @@
 """Kill-and-resume tests for sharded campaign checkpoints.
 
 A campaign SIGKILL'd mid-round resumes from its checkpoint manifest and
-produces a bit-identical result per shard.
+produces a bit-identical result per shard.  The kill at every checkpoint
+write is swept in ``test_kill_points.py``.
 """
 
 import os
@@ -13,10 +14,13 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro.al import sharding
 from repro.al.partition import random_partition
 from repro.al.sharding import ShardedLearner, ShardingConfig, mixed_operator_pool
 from repro.al.strategies import CostEfficiency
 from repro.cluster.faults import ShardFaultConfig
+
+from .test_checkpoint_compat import _Killed, _write_kill
 
 CFG = dict(n_shards=4, n_rounds=6, batch_size=2, seed=11)
 FAULTS = dict(crash_rate=0.15, corrupt_rate=0.1)
@@ -53,34 +57,13 @@ def _assert_identical(a, b):
     assert a.stop_reason == b.stop_reason
 
 
-def test_resume_after_mid_round_interrupt_is_bit_identical(tmp_path):
-    """Interrupt at the most-exposed point (picks consumed, checkpoint not
-    yet written) under active fault injection; resume must replay the lost
-    round bit-identically."""
-    uninterrupted = _learner(ShardFaultConfig(**FAULTS)).run()
-
-    victim = _learner(ShardFaultConfig(**FAULTS))
-
-    def bomb(round_index):
-        if round_index == 3:
-            raise KeyboardInterrupt("simulated operator kill")
-
-    victim._mid_round_hook = bomb
-    with pytest.raises(KeyboardInterrupt):
-        victim.run(checkpoint_dir=tmp_path)
-    manifest = (tmp_path / "manifest.json").read_text()
-    assert '"next_round": 3' in manifest  # round 3 was lost, 0-2 persisted
-
-    resumed = _learner(ShardFaultConfig(**FAULTS)).resume(tmp_path)
-    _assert_identical(uninterrupted, resumed)
-
-
 def test_resume_after_real_sigkill(tmp_path):
     """Acceptance: SIGKILL the whole campaign process mid-round, resume in
     a fresh process, compare against an uninterrupted run."""
     script = textwrap.dedent(
         """
         import os, signal, sys
+        from repro.al import sharding
         from repro.al.partition import random_partition
         from repro.al.sharding import (
             ShardedLearner, ShardingConfig, mixed_operator_pool,
@@ -99,12 +82,19 @@ def test_resume_after_real_sigkill(tmp_path):
             fault_config=ShardFaultConfig(crash_rate=0.15, corrupt_rate=0.1),
         )
 
-        def bomb(round_index):
-            if round_index == 3:
-                os.kill(os.getpid(), signal.SIGKILL)
+        write = sharding.write_json_atomic
+        n_writes = 0
 
-        learner._mid_round_hook = bomb
-        learner.run(checkpoint_dir=sys.argv[1])
+        def dying_write(payload, path):
+            # Write 4 would save round 3: the process dies with it unsaved.
+            global n_writes
+            n_writes += 1
+            if n_writes == 4:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return write(payload, path)
+
+        sharding.write_json_atomic = dying_write
+        learner.run(checkpoint_path=sys.argv[1])
         raise SystemExit("SIGKILL never fired")
         """
     )
@@ -112,34 +102,30 @@ def test_resume_after_real_sigkill(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (env.get("PYTHONPATH"), *sys.path) if p
     )
+    path = tmp_path / "manifest.json"
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
+        [sys.executable, "-c", script, str(path)],
         env=env,
         capture_output=True,
         timeout=600,
     )
     assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
-    assert (tmp_path / "manifest.json").exists()
+    assert '"next_round": 3' in path.read_text()  # round 3 lost, 0-2 saved
 
     uninterrupted = _learner(ShardFaultConfig(**FAULTS)).run()
-    resumed = _learner(ShardFaultConfig(**FAULTS)).resume(tmp_path)
+    resumed = _learner(ShardFaultConfig(**FAULTS)).resume(path)
     _assert_identical(uninterrupted, resumed)
 
 
 def test_resume_validates_checkpoint_compatibility(tmp_path):
+    path = tmp_path / "manifest.json"
     learner = _learner()
-
-    def bomb(round_index):
-        if round_index == 2:
-            raise KeyboardInterrupt()
-
-    learner._mid_round_hook = bomb
-    with pytest.raises(KeyboardInterrupt):
-        learner.run(checkpoint_dir=tmp_path)
+    with _write_kill(3, sharding), pytest.raises(_Killed):
+        learner.run(checkpoint_path=path)
 
     # A learner that already ran cannot resume.
     with pytest.raises(RuntimeError, match="freshly constructed"):
-        learner.resume(tmp_path)
+        learner.resume(path)
 
     # Config drift is rejected before any work happens.
     X, y, costs, part = _problem()
@@ -149,7 +135,7 @@ def test_resume_validates_checkpoint_compatibility(tmp_path):
         strategy=CostEfficiency(),
     )
     with pytest.raises(ValueError, match="n_rounds"):
-        drifted.resume(tmp_path)
+        drifted.resume(path)
 
     # A different dataset is rejected by the hash.
     X2, y2, costs2 = mixed_operator_pool(90, seed=99)
@@ -159,17 +145,18 @@ def test_resume_validates_checkpoint_compatibility(tmp_path):
         strategy=CostEfficiency(),
     )
     with pytest.raises(ValueError, match="hash mismatch"):
-        other.resume(tmp_path)
+        other.resume(path)
 
     # A corrupted manifest is a loud, typed failure.
-    (tmp_path / "manifest.json").write_text('{"kind": "sharded-campai')
+    path.write_text('{"kind": "sharded-campai')
     with pytest.raises(ValueError):
-        _learner().resume(tmp_path)
+        _learner().resume(path)
 
 
 def test_resume_of_finished_checkpoint_replays_final_state(tmp_path):
     """Resuming a checkpoint whose rounds all completed just re-runs the
     deterministic final fit wave and returns the same result."""
-    first = _learner().run(checkpoint_dir=tmp_path)
-    again = _learner().resume(tmp_path)
+    path = tmp_path / "manifest.json"
+    first = _learner().run(checkpoint_path=path)
+    again = _learner().resume(path)
     _assert_identical(first, again)
