@@ -25,7 +25,7 @@ from conftest import banner
 
 from repro.al.metrics import rmse as rmse_metric
 from repro.experiments.common import fig6_subset
-from repro.gp import RBF, ConstantKernel, GaussianProcessRegressor, TrendGPR
+from repro.gp import GaussianProcessRegressor, SquaredExponential, TrendGPR
 
 
 def _trend_rmse(model, X_test, y_test):
@@ -34,7 +34,9 @@ def _trend_rmse(model, X_test, y_test):
 
 
 def _narrow_kernel():
-    return ConstantKernel(1.0, (1e-3, 1e3)) * RBF(1.0, (1e-2, 2.0))
+    return SquaredExponential(
+        1.0, 1.0, signal_variance_bounds=(1e-3, 1e3), length_scale_bounds=(1e-2, 2.0)
+    )
 
 
 def _compare(X, y, n_reps=5):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gp.gpr import GaussianProcessRegressor
-from ..gp.kernels import RBF, ConstantKernel
+from ..gp.kernels import SquaredExponential
 from .common import DEFAULT_SEED, one_d_subset
 
 __all__ = ["GPRCurve", "Fig3Panel", "Fig3Result", "run"]
@@ -83,7 +83,12 @@ class Fig3Result:
 def _fit_curves(X, y, grid, hypers, noise_variance) -> list[GPRCurve]:
     curves = []
     for length_scale, sigma_f in hypers:
-        kernel = ConstantKernel(sigma_f**2, "fixed") * RBF(length_scale, "fixed")
+        kernel = SquaredExponential(
+            sigma_f**2,
+            length_scale,
+            signal_variance_bounds="fixed",
+            length_scale_bounds="fixed",
+        )
         model = GaussianProcessRegressor(
             kernel=kernel,
             noise_variance=noise_variance,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gp.gpr import GaussianProcessRegressor
-from ..gp.kernels import RBF, ConstantKernel
+from ..gp.kernels import SquaredExponential
 from .common import DEFAULT_SEED, one_d_subset
 
 __all__ = ["LMLGrid", "Fig4Result", "run", "count_local_maxima"]
@@ -66,7 +66,9 @@ class Fig4Result:
 
 
 def _grid_model(sigma_f2: float) -> GaussianProcessRegressor:
-    kernel = ConstantKernel(sigma_f2, "fixed") * RBF(1.0, (1e-2, 1e3))
+    kernel = SquaredExponential(
+        sigma_f2, 1.0, signal_variance_bounds="fixed", length_scale_bounds=(1e-2, 1e3)
+    )
     return GaussianProcessRegressor(
         kernel=kernel, noise_variance=1e-2, noise_variance_bounds=(1e-8, 1e3)
     )
@@ -97,7 +99,7 @@ def run(
     single = _grid_model(sigma_f2)
     single.n_restarts = 0
     rng = np.random.default_rng(seed)
-    single.kernel.k2.length_scale = float(rng.uniform(0.1, 10.0))
+    single.kernel.length_scale = float(rng.uniform(0.1, 10.0))
     single.fit(X, y)
     multi = _grid_model(sigma_f2)
     multi.n_restarts = 6
@@ -105,7 +107,7 @@ def run(
     multi.fit(X, y)
 
     def optimum(m: GaussianProcessRegressor) -> tuple[float, float]:
-        return (float(m.kernel_.k2.length_scale), float(m.noise_variance_))
+        return (float(m.kernel_.length_scale), float(m.noise_variance_))
 
     s_opt, m_opt = optimum(single), optimum(multi)
     agree = bool(

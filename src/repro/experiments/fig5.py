@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gp.gpr import GaussianProcessRegressor
-from ..gp.kernels import RBF, ConstantKernel
+from ..gp.kernels import SquaredExponential
 from .common import DEFAULT_SEED, fig6_subset
 from .fig4 import LMLGrid, count_local_maxima
 
@@ -83,9 +83,14 @@ def run(
     # hyperparameters held at their fitted values.
     ls_axis = np.geomspace(3e-2, 3e1, n_lml)
     nv_axis = np.geomspace(1e-2, 1e2, n_lml)
-    fitted_amp = float(model.kernel_.k1.constant_value)
+    fitted_amp = float(model.kernel_.signal_variance)
     probe = GaussianProcessRegressor(
-        kernel=ConstantKernel(fitted_amp, "fixed") * RBF(1.0, (1e-2, 1e3)),
+        kernel=SquaredExponential(
+            fitted_amp,
+            1.0,
+            signal_variance_bounds="fixed",
+            length_scale_bounds=(1e-2, 1e3),
+        ),
         noise_variance=model.noise_variance_,
         noise_variance_bounds=(1e-2, 1e2),
         normalize_y=True,

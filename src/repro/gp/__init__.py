@@ -2,25 +2,12 @@
 
 Public API::
 
-    from repro.gp import GaussianProcessRegressor, default_kernel
-    from repro.gp import RBF, Matern, RationalQuadratic, ConstantKernel, WhiteKernel
+    from repro.gp import GaussianProcessRegressor, SquaredExponential, default_kernel
 """
 
 from .gpr import GaussianProcessRegressor, default_kernel
 from .incremental import NotPositiveDefiniteError, cholesky_append
-from .kernels import (
-    RBF,
-    ConstantKernel,
-    Hyperparameter,
-    Kernel,
-    Matern,
-    Product,
-    RationalQuadratic,
-    Sum,
-    WhiteKernel,
-    kernel_from_dict,
-    kernel_to_dict,
-)
+from .kernels import SquaredExponential, kernel_from_dict, kernel_to_dict
 from .loocv import (
     LOOResult,
     fit_loocv,
@@ -40,15 +27,7 @@ __all__ = [
     "AUTO_EXACT_MAX",
     "NotPositiveDefiniteError",
     "cholesky_append",
-    "Kernel",
-    "Hyperparameter",
-    "ConstantKernel",
-    "WhiteKernel",
-    "RBF",
-    "Matern",
-    "RationalQuadratic",
-    "Sum",
-    "Product",
+    "SquaredExponential",
     "kernel_to_dict",
     "kernel_from_dict",
     "OptimizeOutcome",

@@ -16,7 +16,8 @@ multi-restart gradient ascent exactly as the paper describes for the
 scikit-learn implementation it used.
 
 Unlike scikit-learn, the noise variance ``sigma_n^2`` is a first-class
-attribute of the regressor rather than a ``WhiteKernel`` term.  This makes
+attribute of the regressor rather than a white-noise kernel term, and the
+kernel is the one :class:`~repro.gp.kernels.SquaredExponential`.  This makes
 the paper's central tuning knob — the lower bound of the ``sigma_n`` search
 space (Section V-B4, Fig. 7) — a single constructor argument:
 
@@ -47,7 +48,7 @@ from scipy.linalg import cho_solve, cholesky
 
 from .. import telemetry as tm
 from .incremental import NotPositiveDefiniteError, cholesky_append
-from .kernels import RBF, ConstantKernel, Kernel, kernel_from_dict, kernel_to_dict
+from .kernels import SquaredExponential, kernel_from_dict, kernel_to_dict
 from .optimize import OptimizeOutcome, minimize_with_restarts
 from .solvers import (
     ApproxFitState,
@@ -68,7 +69,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _SERIAL_VERSION = 1
 
 
-def default_kernel(n_features: int = 1, *, ard: bool = False) -> Kernel:
+def default_kernel(n_features: int = 1, *, ard: bool = False) -> SquaredExponential:
     """The paper's covariance: amplitude ``sigma_f^2`` times squared exponential.
 
     Parameters
@@ -79,7 +80,12 @@ def default_kernel(n_features: int = 1, *, ard: bool = False) -> Kernel:
         If true, use a separate length scale per input dimension.
     """
     length_scale = np.ones(n_features) if ard else 1.0
-    return ConstantKernel(1.0, (1e-3, 1e3)) * RBF(length_scale, (1e-2, 1e3))
+    return SquaredExponential(
+        1.0,
+        length_scale,
+        signal_variance_bounds=(1e-3, 1e3),
+        length_scale_bounds=(1e-2, 1e3),
+    )
 
 
 class _FitObjective:
@@ -133,9 +139,10 @@ class GaussianProcessRegressor:
     Parameters
     ----------
     kernel:
-        Noise-free covariance of the latent function.  Defaults to
-        ``ConstantKernel * RBF`` (the paper's squared exponential with
-        amplitude), created lazily with the right dimensionality at fit time.
+        Noise-free covariance of the latent function, a
+        :class:`~repro.gp.kernels.SquaredExponential`.  Defaults to
+        :func:`default_kernel` (free amplitude, one isotropic length scale),
+        created at fit time.
     noise_variance:
         Initial value of ``sigma_n^2``.
     noise_variance_bounds:
@@ -176,7 +183,7 @@ class GaussianProcessRegressor:
 
     def __init__(
         self,
-        kernel: Kernel | None = None,
+        kernel: SquaredExponential | None = None,
         *,
         noise_variance: float = 1e-2,
         noise_variance_bounds=(1e-8, 1e3),
@@ -216,7 +223,7 @@ class GaussianProcessRegressor:
         self.jitter = float(jitter)
         self.executor = executor
         self.solver = resolve_solver(solver)
-        self.kernel_: Kernel | None = None
+        self.kernel_: SquaredExponential | None = None
         self._fit: _FitState | None = None
         self._afit: ApproxFitState | None = None
 
@@ -266,7 +273,7 @@ class GaussianProcessRegressor:
         if not self._noise_free:
             self.noise_variance_ = float(np.exp(theta[nk]))
 
-    def _at_theta(self, theta, n_features: int) -> tuple[Kernel, float]:
+    def _at_theta(self, theta, n_features: int) -> tuple[SquaredExponential, float]:
         """Kernel and noise variance at joint ``theta``, leaving the model as is.
 
         ``theta=None`` means the current hyperparameters.  A model without
@@ -287,7 +294,7 @@ class GaussianProcessRegressor:
             return kernel, self.noise_variance_
         return kernel, float(np.exp(theta[nk]))
 
-    def _template_kernel(self, n_features: int) -> Kernel:
+    def _template_kernel(self, n_features: int) -> SquaredExponential:
         """A fresh copy of the constructor kernel (the default one for ``None``)."""
         if self.kernel is None:
             return default_kernel(n_features)
@@ -529,7 +536,7 @@ class GaussianProcessRegressor:
         same hyperparameters up to numerical jitter.  Duplicate x-rows are
         fine — the noise term keeps the bordered pivot positive.
 
-        Hyperparameters are *not* re-optimized, and with ``normalize_y`` the
+        The hyperparameters are *not* re-optimized, and with ``normalize_y`` the
         target normalization constants stay frozen at their last-fit values;
         schedule a periodic full :meth:`fit` (e.g. ``refit_every`` in
         :class:`repro.al.learner.ActiveLearner`) to refresh both.
@@ -1058,7 +1065,7 @@ class GaussianProcessRegressor:
         RuntimeError
             If the model is not fitted.
         NotImplementedError
-            If the kernel lacks input-space gradients.
+            If the model was fitted by an approximate solver backend.
         """
         if self._afit is not None:
             raise NotImplementedError(

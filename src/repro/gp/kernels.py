@@ -1,160 +1,146 @@
-"""Covariance functions (kernels) for Gaussian Process Regression.
+"""The squared-exponential covariance of the paper's Eq. (11).
 
 This module replaces the scikit-learn kernel stack the paper used
-(``sklearn 0.18.dev0``).  It implements the squared exponential (RBF)
-covariance of the paper's Eq. (11),
+(``sklearn 0.18.dev0``).  The paper fits one covariance,
 
     k(x_p, x_q) = sigma_f^2 * exp(-|x_p - x_q|^2 / (2 l^2)),
 
-plus the Matern and RationalQuadratic families, a White (noise) kernel that
-carries the paper's critical ``sigma_n`` hyperparameter, a Constant kernel
-for the amplitude ``sigma_f^2``, and Sum/Product kernel algebra.
+with a scalar (isotropic) or per-dimension (ARD) length scale ``l``.  The
+third hyperparameter, the noise variance ``sigma_n^2``, is an attribute of
+:class:`~repro.gp.gpr.GaussianProcessRegressor`, not a kernel term.
 
-Hyperparameters are exposed in **log space** through the ``theta`` vector,
+The hyperparameters are exposed in **log space** through the ``theta`` vector,
 the convention used for gradient-based marginal-likelihood optimization
-(Rasmussen & Williams, Ch. 5).  Every kernel supports analytic gradients of
-the covariance matrix with respect to ``theta`` via
-``kernel(X, eval_gradient=True)``.
+(Rasmussen & Williams, Ch. 5), and ``kernel(X, eval_gradient=True)``
+returns the analytic gradient of the covariance matrix with respect to it.
 
 Examples
 --------
-The paper's covariance (amplitude * RBF + noise) is spelled:
+The paper's covariance with bounded amplitude and length scale:
 
->>> kernel = ConstantKernel(1.0, (1e-3, 1e3)) * RBF(1.0, (1e-2, 1e2)) \\
-...     + WhiteKernel(1e-2, (1e-1, 1e1))   # noise floor sigma_n^2 >= 1e-1
+>>> kernel = SquaredExponential(
+...     1.0, 1.0, signal_variance_bounds=(1e-3, 1e3), length_scale_bounds=(1e-2, 1e2)
+... )
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
-from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .validate import as_2d_array, check_bounds
 
-__all__ = [
-    "Hyperparameter",
-    "Kernel",
-    "ConstantKernel",
-    "WhiteKernel",
-    "RBF",
-    "Matern",
-    "RationalQuadratic",
-    "Sum",
-    "Product",
-    "kernel_to_dict",
-    "kernel_from_dict",
-]
+__all__ = ["SquaredExponential", "Kernel", "kernel_to_dict", "kernel_from_dict"]
 
 
-class Hyperparameter:
-    """Specification of one kernel hyperparameter.
+class SquaredExponential:
+    """``k(x, x') = sigma_f^2 * exp(-|x - x'|^2 / (2 l^2))``, Eq. (11).
 
-    Attributes
+    Parameters
     ----------
-    name:
-        Attribute name on the owning kernel (e.g. ``"length_scale"``).
-    bounds:
-        ``(low, high)`` in natural (not log) space, or ``"fixed"``.
-    n_elements:
-        Number of scalar entries (>1 for anisotropic/ARD length scales).
+    signal_variance:
+        The amplitude ``sigma_f^2``.
+    length_scale:
+        Scalar ``l``, or one length scale per input dimension (ARD).
+    signal_variance_bounds, length_scale_bounds:
+        ``(low, high)`` in natural (not log) space, or ``"fixed"`` to leave
+        the hyperparameter out of ``theta`` and of optimization.
+
+    ``theta`` is ``[log sigma_f^2, log l_1, ..., log l_d]`` without the
+    fixed entries.  Every float is computed in the order of the former
+    amplitude-kernel-times-unit-kernel product, so fitted models, serialized
+    payloads and golden digests did not move when the product was folded
+    into this one class.
     """
 
-    __slots__ = ("name", "bounds", "n_elements")
+    def __init__(
+        self,
+        signal_variance: float = 1.0,
+        length_scale=1.0,
+        *,
+        signal_variance_bounds=(1e-5, 1e5),
+        length_scale_bounds=(1e-5, 1e5),
+    ):
+        if signal_variance <= 0:
+            raise ValueError("signal_variance must be positive")
+        ls = np.array(length_scale, dtype=float, ndmin=1)
+        if np.any(ls <= 0):
+            raise ValueError("length_scale must be positive")
+        self.signal_variance = float(signal_variance)
+        self.length_scale = float(ls[0]) if ls.size == 1 else ls
+        self.signal_variance_bounds = check_bounds(
+            signal_variance_bounds, name="signal_variance"
+        )
+        self.length_scale_bounds = check_bounds(length_scale_bounds, name="length_scale")
 
-    def __init__(self, name: str, bounds, n_elements: int = 1):
-        self.name = name
-        self.bounds = check_bounds(bounds, name=name)
-        self.n_elements = int(n_elements)
+    # --- hyperparameters ------------------------------------------------------------
 
-    @property
-    def fixed(self) -> bool:
-        """Whether this hyperparameter is excluded from optimization."""
-        return self.bounds == "fixed"
-
-    def log_bounds(self) -> np.ndarray:
-        """Bounds as an ``(n_elements, 2)`` array in log space."""
-        if self.fixed:
-            raise ValueError(f"hyperparameter {self.name} is fixed")
-        low, high = self.bounds
-        return np.tile(np.log([low, high]), (self.n_elements, 1))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Hyperparameter({self.name!r}, bounds={self.bounds}, n={self.n_elements})"
-
-
-class Kernel(ABC):
-    """Base class for covariance functions.
-
-    Subclasses implement ``__call__`` (optionally with analytic gradient),
-    ``diag`` and declare their hyperparameters via ``hyperparameters``.
-    """
-
-    # --- hyperparameter plumbing -------------------------------------------------
+    def _free(self):
+        """``(name, bounds, size)`` of each free hyperparameter, in theta order."""
+        if self.signal_variance_bounds != "fixed":
+            yield "signal_variance", self.signal_variance_bounds, 1
+        if self.length_scale_bounds != "fixed":
+            yield "length_scale", self.length_scale_bounds, np.size(self.length_scale)
 
     @property
-    @abstractmethod
-    def hyperparameters(self) -> Sequence[Hyperparameter]:
-        """Ordered hyperparameter specifications for this kernel."""
-
-    def _free_hyperparameters(self) -> Iterator[Hyperparameter]:
-        return (h for h in self.hyperparameters if not h.fixed)
+    def anisotropic(self) -> bool:
+        """Whether a separate length scale is used per input dimension."""
+        return np.size(self.length_scale) > 1
 
     @property
     def n_dims(self) -> int:
         """Number of free (optimizable) hyperparameter entries."""
-        return sum(h.n_elements for h in self._free_hyperparameters())
+        return sum(size for _, _, size in self._free())
 
     @property
     def theta(self) -> np.ndarray:
         """Free hyperparameter values, flattened, in log space."""
-        parts = []
-        for h in self._free_hyperparameters():
-            value = np.atleast_1d(getattr(self, h.name)).astype(float)
-            parts.append(np.log(value))
-        if not parts:
-            return np.empty(0)
-        return np.concatenate(parts)
+        parts = [np.log(np.atleast_1d(getattr(self, n))) for n, _, _ in self._free()]
+        return np.concatenate(parts) if parts else np.empty(0)
 
     @theta.setter
     def theta(self, value: np.ndarray) -> None:
-        """Install log-space hyperparameters (exponentiated per entry)."""
+        """Install log-space hyperparameters, exponentiating each one's slice."""
         value = np.asarray(value, dtype=float)
         if value.shape != (self.n_dims,):
-            raise ValueError(
-                f"theta has shape {value.shape}, expected ({self.n_dims},)"
-            )
+            raise ValueError(f"theta has shape {value.shape}, expected ({self.n_dims},)")
         idx = 0
-        for h in self._free_hyperparameters():
-            chunk = np.exp(value[idx : idx + h.n_elements])
-            if h.n_elements == 1:
-                setattr(self, h.name, float(chunk[0]))
-            else:
-                setattr(self, h.name, chunk)
-            idx += h.n_elements
+        for name, _, size in self._free():
+            chunk = np.exp(value[idx : idx + size])
+            setattr(self, name, float(chunk[0]) if size == 1 else chunk)
+            idx += size
 
     @property
     def bounds(self) -> np.ndarray:
         """Log-space bounds for the free hyperparameters, shape ``(n_dims, 2)``."""
-        parts = [h.log_bounds() for h in self._free_hyperparameters()]
-        if not parts:
-            return np.empty((0, 2))
-        return np.vstack(parts)
+        parts = [np.tile(np.log(b), (size, 1)) for _, b, size in self._free()]
+        return np.vstack(parts) if parts else np.empty((0, 2))
 
-    def clone_with_theta(self, theta: np.ndarray) -> "Kernel":
-        """Return a deep copy of the kernel with ``theta`` installed."""
-        import copy
-
-        clone = copy.deepcopy(self)
-        clone.theta = np.asarray(theta, dtype=float)
+    def clone_with_theta(self, theta: np.ndarray) -> "SquaredExponential":
+        """A new kernel with ``theta`` installed; ``self`` is left as is."""
+        clone = type(self)(
+            self.signal_variance,
+            self.length_scale,
+            signal_variance_bounds=self.signal_variance_bounds,
+            length_scale_bounds=self.length_scale_bounds,
+        )
+        clone.theta = theta
         return clone
 
-    # --- evaluation ---------------------------------------------------------------
+    # --- evaluation -------------------------------------------------------------------
 
-    @abstractmethod
+    def _scaled(self, X, name: str = "X") -> np.ndarray:
+        """Validated inputs divided by the length scale(s)."""
+        X = as_2d_array(X, name=name)
+        if self.anisotropic and np.size(self.length_scale) != X.shape[1]:
+            raise ValueError(
+                f"ARD length_scale has {np.size(self.length_scale)} entries but "
+                f"{name} has {X.shape[1]} features"
+            )
+        return X / np.atleast_1d(self.length_scale)
+
     def __call__(self, X, Y=None, eval_gradient: bool = False):
         """Evaluate ``k(X, Y)``.
 
@@ -165,601 +151,140 @@ class Kernel(ABC):
             Defaults to ``X``.
         eval_gradient : bool
             If true (requires ``Y is None``) also return the gradient of the
-            covariance matrix with respect to ``theta``, an array of shape
-            ``(n, n, n_dims)``.
+            covariance matrix with respect to ``theta``, a C-contiguous array
+            of shape ``(n, n, n_dims)``.
         """
+        if eval_gradient and Y is not None:
+            raise ValueError("gradient can only be evaluated when Y is None")
+        c = self.signal_variance
+        Xs = self._scaled(X)
+        if Y is not None:
+            sq = cdist(Xs, self._scaled(Y, name="Y"), metric="sqeuclidean")
+            return c * np.exp(-0.5 * sq)
+        sq = squareform(pdist(Xs, metric="sqeuclidean"))
+        unit = np.exp(-0.5 * sq)
+        K = c * unit
+        if not eval_gradient:
+            return K
+        n = Xs.shape[0]
+        grad = np.empty((n, n, self.n_dims))
+        idx = 0
+        if self.signal_variance_bounds != "fixed":
+            grad[:, :, 0] = K  # dK/d(log sigma_f^2) = K
+            idx = 1
+        if self.length_scale_bounds != "fixed":
+            if not self.anisotropic:
+                # dK/d(log l) = K * |x - x'|^2 / l^2
+                grad[:, :, idx] = (unit * sq) * c
+            else:
+                # dK/d(log l_d) = K * (x_d - x'_d)^2 / l_d^2
+                diff = (Xs[:, np.newaxis, :] - Xs[np.newaxis, :, :]) ** 2
+                grad[:, :, idx:] = (unit[:, :, np.newaxis] * diff) * c
+        return K, grad
 
-    @abstractmethod
     def diag(self, X) -> np.ndarray:
-        """Diagonal of ``k(X, X)`` without forming the full matrix."""
+        """Diagonal of ``k(X, X)``: the amplitude ``sigma_f^2``."""
+        X = as_2d_array(X)
+        return np.full(X.shape[0], self.signal_variance)
 
     def gradient_x(self, x: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Gradient of ``k(x, X_i)`` with respect to the query point ``x``.
 
-        Parameters
-        ----------
-        x : array of shape (d,)
-            Single query point.
-        X : array of shape (n, d)
-            Reference points.
-
-        Returns
-        -------
-        array of shape (n, d)
-            Row ``i`` is ``d k(x, X_i) / d x``.
-
-        Needed by the continuous-domain acquisition optimizer (the paper's
-        Section VI: "Gradient-based methods, which are available with GPR").
-        Stationary kernels implement it analytically; kernels without an
-        implementation raise ``NotImplementedError``.
+        Returns an array of shape ``(n, d)`` whose row ``i`` is
+        ``d k(x, X_i) / d x``.  Needed by the continuous-domain acquisition
+        optimizer (the paper's Section VI: "Gradient-based methods, which are
+        available with GPR").
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement input-space gradients"
-        )
-
-    # --- algebra -------------------------------------------------------------------
-
-    def __add__(self, other) -> "Sum":
-        return Sum(self, _as_kernel(other))
-
-    def __radd__(self, other) -> "Sum":
-        return Sum(_as_kernel(other), self)
-
-    def __mul__(self, other) -> "Product":
-        return Product(self, _as_kernel(other))
-
-    def __rmul__(self, other) -> "Product":
-        return Product(_as_kernel(other), self)
-
-
-def _as_kernel(value) -> Kernel:
-    if isinstance(value, Kernel):
-        return value
-    if np.isscalar(value):
-        return ConstantKernel(float(value), "fixed")
-    raise TypeError(f"cannot interpret {value!r} as a kernel")
-
-
-def _check_gradient_call(Y, eval_gradient: bool) -> None:
-    if eval_gradient and Y is not None:
-        raise ValueError("gradient can only be evaluated when Y is None")
-
-
-class ConstantKernel(Kernel):
-    """Constant covariance ``k(x, x') = c``.
-
-    Multiplying an RBF by a ConstantKernel realizes the paper's amplitude
-    ``sigma_f^2``.
-    """
-
-    def __init__(self, constant_value: float = 1.0, constant_value_bounds=(1e-5, 1e5)):
-        if constant_value <= 0:
-            raise ValueError("constant_value must be positive")
-        self.constant_value = float(constant_value)
-        self._hyper = (Hyperparameter("constant_value", constant_value_bounds),)
-
-    @property
-    def hyperparameters(self) -> Sequence[Hyperparameter]:
-        """The single constant-value hyperparameter."""
-        return self._hyper
-
-    def __call__(self, X, Y=None, eval_gradient: bool = False):
-        _check_gradient_call(Y, eval_gradient)
-        X = as_2d_array(X)
-        m = X.shape[0] if Y is None else as_2d_array(Y, name="Y").shape[0]
-        K = np.full((X.shape[0], m), self.constant_value)
-        if not eval_gradient:
-            return K
-        if self._hyper[0].fixed:
-            grad = np.empty((X.shape[0], X.shape[0], 0))
-        else:
-            grad = np.full((X.shape[0], X.shape[0], 1), self.constant_value)
-        return K, grad
-
-    def diag(self, X) -> np.ndarray:
-        """Constant diagonal."""
-        X = as_2d_array(X)
-        return np.full(X.shape[0], self.constant_value)
-
-    def gradient_x(self, x: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Zero: constant covariance does not depend on the inputs."""
-        X = as_2d_array(X)
-        return np.zeros_like(X)
-
-    def __repr__(self) -> str:
-        return f"{math.sqrt(self.constant_value):.3g}**2"
-
-
-class WhiteKernel(Kernel):
-    """White noise covariance ``k(x, x') = noise_level * [x is x']``.
-
-    ``noise_level`` is the paper's ``sigma_n^2``.  Its lower bound is the
-    central tuning knob of the paper's Section V-B4 (Fig. 7): raising the
-    floor from ``1e-8`` to ``1e-1`` eliminates GPR overfitting in early AL
-    iterations.
-    """
-
-    def __init__(self, noise_level: float = 1.0, noise_level_bounds=(1e-5, 1e5)):
-        if noise_level <= 0:
-            raise ValueError("noise_level must be positive")
-        self.noise_level = float(noise_level)
-        self._hyper = (Hyperparameter("noise_level", noise_level_bounds),)
-
-    @property
-    def hyperparameters(self) -> Sequence[Hyperparameter]:
-        """The single noise-level hyperparameter."""
-        return self._hyper
-
-    def __call__(self, X, Y=None, eval_gradient: bool = False):
-        _check_gradient_call(Y, eval_gradient)
-        X = as_2d_array(X)
-        if Y is None:
-            K = self.noise_level * np.eye(X.shape[0])
-            if not eval_gradient:
-                return K
-            if self._hyper[0].fixed:
-                grad = np.empty((X.shape[0], X.shape[0], 0))
-            else:
-                grad = K[:, :, np.newaxis].copy()
-            return K, grad
-        Y = as_2d_array(Y, name="Y")
-        # Distinct query points share no noise: the cross-covariance is zero.
-        return np.zeros((X.shape[0], Y.shape[0]))
-
-    def diag(self, X) -> np.ndarray:
-        """Noise level on the diagonal."""
-        X = as_2d_array(X)
-        return np.full(X.shape[0], self.noise_level)
-
-    def gradient_x(self, x: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Zero almost everywhere (white noise has no cross-covariance)."""
-        # The cross-covariance of white noise is zero away from x == X_i and
-        # non-differentiable exactly there; the a.e. gradient is zero.
-        X = as_2d_array(X)
-        return np.zeros_like(X)
-
-    def __repr__(self) -> str:
-        return f"White({self.noise_level:.3g})"
-
-
-class RBF(Kernel):
-    """Squared-exponential (radial basis function) covariance, Eq. (11).
-
-    ``k(x, x') = exp(-|x - x'|^2 / (2 l^2))`` with a scalar (isotropic) or
-    per-dimension (ARD) length scale ``l``.  The amplitude ``sigma_f^2`` is
-    supplied by multiplying with a :class:`ConstantKernel`.
-    """
-
-    def __init__(self, length_scale=1.0, length_scale_bounds=(1e-5, 1e5)):
-        ls = np.atleast_1d(np.asarray(length_scale, dtype=float))
-        if np.any(ls <= 0):
-            raise ValueError("length_scale must be positive")
-        self.length_scale = float(ls[0]) if ls.size == 1 else ls
-        self._hyper = (
-            Hyperparameter("length_scale", length_scale_bounds, n_elements=ls.size),
-        )
-
-    @property
-    def hyperparameters(self) -> Sequence[Hyperparameter]:
-        """The (possibly ARD) length-scale hyperparameter."""
-        return self._hyper
-
-    @property
-    def anisotropic(self) -> bool:
-        """Whether a separate length scale is used per input dimension."""
-        return np.size(self.length_scale) > 1
-
-    def _scaled(self, X: np.ndarray) -> np.ndarray:
-        return X / np.atleast_1d(self.length_scale)
-
-    def __call__(self, X, Y=None, eval_gradient: bool = False):
-        _check_gradient_call(Y, eval_gradient)
-        X = as_2d_array(X)
-        if self.anisotropic and np.size(self.length_scale) != X.shape[1]:
-            raise ValueError(
-                f"ARD length_scale has {np.size(self.length_scale)} entries but "
-                f"X has {X.shape[1]} features"
-            )
-        Xs = self._scaled(X)
-        if Y is None:
-            sq = squareform(pdist(Xs, metric="sqeuclidean"))
-            K = np.exp(-0.5 * sq)
-            if not eval_gradient:
-                return K
-            if self._hyper[0].fixed:
-                return K, np.empty((X.shape[0], X.shape[0], 0))
-            if not self.anisotropic:
-                # dK/d(log l) = K * sq_dist / l^2 (already scaled) = K * sq
-                grad = (K * sq)[:, :, np.newaxis]
-            else:
-                # per-dimension: dK/d(log l_d) = K * (x_d - x'_d)^2 / l_d^2
-                diff = (Xs[:, np.newaxis, :] - Xs[np.newaxis, :, :]) ** 2
-                grad = K[:, :, np.newaxis] * diff
-            return K, grad
-        Y = as_2d_array(Y, name="Y")
-        sq = cdist(Xs, self._scaled(Y), metric="sqeuclidean")
-        return np.exp(-0.5 * sq)
-
-    def diag(self, X) -> np.ndarray:
-        """Unit diagonal (normalized stationary kernel)."""
-        X = as_2d_array(X)
-        return np.ones(X.shape[0])
-
-    def gradient_x(self, x: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Analytic ``d k(x, X_i) / dx`` for the squared exponential."""
         x = np.asarray(x, dtype=float).ravel()
         X = as_2d_array(X)
-        k = self(x[np.newaxis, :], X)[0]  # (n,)
+        sq = cdist(self._scaled(x[np.newaxis, :]), self._scaled(X), metric="sqeuclidean")
+        unit = np.exp(-0.5 * sq)[0]
         lsq = np.atleast_1d(self.length_scale) ** 2
-        return -k[:, np.newaxis] * (x[np.newaxis, :] - X) / lsq
+        g = -unit[:, np.newaxis] * (x[np.newaxis, :] - X) / lsq
+        # ``+ 0.0`` turns a -0.0 (a query sharing a coordinate with X_i) into
+        # +0.0 and leaves every other value alone.  The product rule of the
+        # former amplitude-times-unit-kernel product added a ``0 * k`` term,
+        # and the recorded gradients carry that sign.
+        return self.signal_variance * g + 0.0
 
     def __repr__(self) -> str:
         if self.anisotropic:
-            return f"RBF(l={np.array2string(np.asarray(self.length_scale), precision=3)})"
-        return f"RBF(l={self.length_scale:.3g})"
-
-
-class Matern(RBF):
-    """Matern covariance with smoothness ``nu`` in {0.5, 1.5, 2.5, inf}.
-
-    ``nu=inf`` reduces to the RBF.  The half-integer cases have simple closed
-    forms and analytic gradients; they are the standard choices for modeling
-    performance surfaces that are less smooth than the RBF assumes.
-    """
-
-    _SUPPORTED_NU = (0.5, 1.5, 2.5, math.inf)
-
-    def __init__(self, length_scale=1.0, length_scale_bounds=(1e-5, 1e5), nu: float = 1.5):
-        super().__init__(length_scale, length_scale_bounds)
-        if nu not in self._SUPPORTED_NU:
-            raise ValueError(f"nu must be one of {self._SUPPORTED_NU}, got {nu}")
-        self.nu = float(nu)
-
-    def __call__(self, X, Y=None, eval_gradient: bool = False):
-        if self.nu == math.inf:
-            return super().__call__(X, Y, eval_gradient)
-        _check_gradient_call(Y, eval_gradient)
-        X = as_2d_array(X)
-        Xs = self._scaled(X)
-        if Y is None:
-            d = squareform(pdist(Xs, metric="euclidean"))
+            ls = np.array2string(np.asarray(self.length_scale), precision=3)
         else:
-            d = cdist(Xs, self._scaled(as_2d_array(Y, name="Y")), metric="euclidean")
-
-        if self.nu == 0.5:
-            K = np.exp(-d)
-        elif self.nu == 1.5:
-            s = math.sqrt(3.0) * d
-            K = (1.0 + s) * np.exp(-s)
-        else:  # nu == 2.5
-            s = math.sqrt(5.0) * d
-            K = (1.0 + s + s**2 / 3.0) * np.exp(-s)
-
-        if Y is not None:
-            return K
-        if not eval_gradient:
-            return K
-        if self._hyper[0].fixed:
-            return K, np.empty((X.shape[0], X.shape[0], 0))
-        if self.anisotropic:
-            diff_sq = (Xs[:, np.newaxis, :] - Xs[np.newaxis, :, :]) ** 2
-        else:
-            diff_sq = (d**2)[:, :, np.newaxis]
-        # dK/d(log l_d) expressed through scaled squared distance per dim.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.nu == 0.5:
-                factor = np.where(d > 0, np.exp(-d) / d, 0.0)
-            elif self.nu == 1.5:
-                factor = 3.0 * np.exp(-math.sqrt(3.0) * d)
-            else:  # nu == 2.5
-                s = math.sqrt(5.0) * d
-                factor = (5.0 / 3.0) * (1.0 + s) * np.exp(-s)
-        grad = factor[:, :, np.newaxis] * diff_sq if self.nu != 0.5 else (
-            factor[:, :, np.newaxis] * diff_sq
-        )
-        return K, grad
-
-    def gradient_x(self, x: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Analytic ``d k(x, X_i) / dx`` for the half-integer Matern family."""
-        if self.nu == math.inf:
-            return super().gradient_x(x, X)
-        x = np.asarray(x, dtype=float).ravel()
-        X = as_2d_array(X)
-        lsq = np.atleast_1d(self.length_scale) ** 2
-        diff = x[np.newaxis, :] - X  # (n, d)
-        r = np.sqrt(np.sum(diff**2 / lsq, axis=1))  # scaled distance
-        if self.nu == 0.5:
-            # dk/dx = -exp(-r) * diff / (lsq * r); zero at r = 0 by convention.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                factor = np.where(r > 0, np.exp(-r) / r, 0.0)
-        elif self.nu == 1.5:
-            factor = 3.0 * np.exp(-math.sqrt(3.0) * r)
-        else:  # nu == 2.5
-            s_ = math.sqrt(5.0) * r
-            factor = (5.0 / 3.0) * (1.0 + s_) * np.exp(-s_)
-        return -factor[:, np.newaxis] * diff / lsq
-
-    def __repr__(self) -> str:
-        return f"Matern(l={np.mean(np.atleast_1d(self.length_scale)):.3g}, nu={self.nu})"
+            ls = f"{self.length_scale:.3g}"
+        sigma_f = math.sqrt(self.signal_variance)
+        return f"SquaredExponential(sigma_f={sigma_f:.3g}, l={ls})"
 
 
-class RationalQuadratic(Kernel):
-    """Rational quadratic covariance — a scale mixture of RBF kernels.
-
-    ``k(x, x') = (1 + |x-x'|^2 / (2 alpha l^2))^{-alpha}``.
-    """
-
-    def __init__(
-        self,
-        length_scale: float = 1.0,
-        alpha: float = 1.0,
-        length_scale_bounds=(1e-5, 1e5),
-        alpha_bounds=(1e-5, 1e5),
-    ):
-        if length_scale <= 0 or alpha <= 0:
-            raise ValueError("length_scale and alpha must be positive")
-        self.length_scale = float(length_scale)
-        self.alpha = float(alpha)
-        self._hyper = (
-            Hyperparameter("length_scale", length_scale_bounds),
-            Hyperparameter("alpha", alpha_bounds),
-        )
-
-    @property
-    def hyperparameters(self) -> Sequence[Hyperparameter]:
-        """Length-scale and mixture-exponent hyperparameters."""
-        return self._hyper
-
-    def __call__(self, X, Y=None, eval_gradient: bool = False):
-        _check_gradient_call(Y, eval_gradient)
-        X = as_2d_array(X)
-        if Y is None:
-            sq = squareform(pdist(X, metric="sqeuclidean"))
-        else:
-            sq = cdist(X, as_2d_array(Y, name="Y"), metric="sqeuclidean")
-        base = 1.0 + sq / (2.0 * self.alpha * self.length_scale**2)
-        K = base ** (-self.alpha)
-        if Y is not None:
-            return K
-        if not eval_gradient:
-            return K
-        grads = []
-        if not self._hyper[0].fixed:
-            # dK/d(log l) = K * sq / (l^2 * base)
-            grads.append(K * sq / (self.length_scale**2 * base))
-        if not self._hyper[1].fixed:
-            # dK/d(log alpha)
-            term = sq / (2.0 * self.alpha * self.length_scale**2)
-            grads.append(K * self.alpha * (term / base - np.log(base)))
-        if grads:
-            grad = np.dstack(grads)
-        else:
-            grad = np.empty((X.shape[0], X.shape[0], 0))
-        return K, grad
-
-    def diag(self, X) -> np.ndarray:
-        """Unit diagonal (normalized stationary kernel)."""
-        X = as_2d_array(X)
-        return np.ones(X.shape[0])
-
-    def gradient_x(self, x: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Analytic ``d k(x, X_i) / dx`` for the rational quadratic."""
-        x = np.asarray(x, dtype=float).ravel()
-        X = as_2d_array(X)
-        diff = x[np.newaxis, :] - X
-        sq = np.sum(diff**2, axis=1)
-        base = 1.0 + sq / (2.0 * self.alpha * self.length_scale**2)
-        factor = base ** (-self.alpha - 1.0) / self.length_scale**2
-        return -factor[:, np.newaxis] * diff
-
-    def __repr__(self) -> str:
-        return f"RQ(l={self.length_scale:.3g}, alpha={self.alpha:.3g})"
-
-
-class _BinaryKernel(Kernel):
-    """Common machinery for Sum and Product composite kernels."""
-
-    def __init__(self, k1: Kernel, k2: Kernel):
-        self.k1 = k1
-        self.k2 = k2
-
-    @property
-    def hyperparameters(self) -> Sequence[Hyperparameter]:
-        """Both operands' hyperparameters, k1 first."""
-        return tuple(self.k1.hyperparameters) + tuple(self.k2.hyperparameters)
-
-    @property
-    def theta(self) -> np.ndarray:
-        """Concatenated log-space hyperparameters of both operands."""
-        return np.concatenate([self.k1.theta, self.k2.theta])
-
-    @theta.setter
-    def theta(self, value: np.ndarray) -> None:
-        """Split ``value`` between the operands in declaration order."""
-        value = np.asarray(value, dtype=float)
-        n1 = self.k1.n_dims
-        if value.shape != (self.n_dims,):
-            raise ValueError(
-                f"theta has shape {value.shape}, expected ({self.n_dims},)"
-            )
-        self.k1.theta = value[:n1]
-        self.k2.theta = value[n1:]
-
-    @property
-    def bounds(self) -> np.ndarray:
-        """Stacked log-space bounds of both operands."""
-        b1, b2 = self.k1.bounds, self.k2.bounds
-        if b1.size == 0:
-            return b2
-        if b2.size == 0:
-            return b1
-        return np.vstack([b1, b2])
-
-
-class Sum(_BinaryKernel):
-    """Sum of two kernels: ``k = k1 + k2``."""
-
-    def __call__(self, X, Y=None, eval_gradient: bool = False):
-        if eval_gradient:
-            K1, g1 = self.k1(X, eval_gradient=True)
-            K2, g2 = self.k2(X, eval_gradient=True)
-            return K1 + K2, np.dstack([g1, g2])
-        return self.k1(X, Y) + self.k2(X, Y)
-
-    def diag(self, X) -> np.ndarray:
-        """Sum of the operands' diagonals."""
-        return self.k1.diag(X) + self.k2.diag(X)
-
-    def gradient_x(self, x: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Sum rule."""
-        return self.k1.gradient_x(x, X) + self.k2.gradient_x(x, X)
-
-    def __repr__(self) -> str:
-        return f"{self.k1!r} + {self.k2!r}"
-
-
-class Product(_BinaryKernel):
-    """Product of two kernels: ``k = k1 * k2``."""
-
-    def __call__(self, X, Y=None, eval_gradient: bool = False):
-        if eval_gradient:
-            K1, g1 = self.k1(X, eval_gradient=True)
-            K2, g2 = self.k2(X, eval_gradient=True)
-            K = K1 * K2
-            grad = np.dstack([g1 * K2[:, :, np.newaxis], g2 * K1[:, :, np.newaxis]])
-            return K, grad
-        return self.k1(X, Y) * self.k2(X, Y)
-
-    def diag(self, X) -> np.ndarray:
-        """Product of the operands' diagonals."""
-        return self.k1.diag(X) * self.k2.diag(X)
-
-    def gradient_x(self, x: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Product rule."""
-        x = np.asarray(x, dtype=float).ravel()
-        X = as_2d_array(X)
-        xq = x[np.newaxis, :]
-        k1 = self.k1(xq, X)[0][:, np.newaxis]
-        k2 = self.k2(xq, X)[0][:, np.newaxis]
-        return self.k1.gradient_x(x, X) * k2 + k1 * self.k2.gradient_x(x, X)
-
-    def __repr__(self) -> str:
-        return f"{self.k1!r} * {self.k2!r}"
+#: The kernel type, under the name ``perfbench/workloads.py`` traces.
+Kernel = SquaredExponential
 
 
 # --------------------------------------------------------------- serialization
 #
-# Exact JSON round-trips for kernel objects: every hyperparameter value is
-# stored as a Python float (``repr`` round-trips float64 bit-exactly through
-# JSON), bounds as ``[low, high]`` or ``"fixed"``, composites recursively.
-# The model registry (:mod:`repro.serve`) persists fitted regressors with
-# these helpers so a served model's covariance is *bit-identical* to the
-# in-memory one that was published.
+# Exact JSON round-trips: every hyperparameter value is stored as a Python
+# float (``repr`` round-trips float64 bit-exactly through JSON), bounds as
+# ``[low, high]`` or ``"fixed"``.  The spec keeps the layout of the
+# amplitude-times-unit-kernel product the kernel was once built from, so
+# model registry payloads written before and after it was folded into one
+# class read the same.
+
+_SPEC_FORM = "Product(ConstantKernel, RBF)"
 
 
-def _bounds_to_spec(h: Hyperparameter):
-    return "fixed" if h.fixed else [float(h.bounds[0]), float(h.bounds[1])]
+def _bounds_to_spec(bounds):
+    return "fixed" if bounds == "fixed" else [float(bounds[0]), float(bounds[1])]
 
 
-def _scalar_or_list(value):
-    if np.ndim(value) == 0:
-        return float(value)
-    return np.asarray(value, dtype=float).tolist()
+def kernel_to_dict(kernel: SquaredExponential) -> dict:
+    """Serialize a kernel to a JSON-safe dict.
 
-
-def kernel_to_dict(kernel: Kernel) -> dict:
-    """Serialize a kernel (hyperparameters, bounds, structure) to a dict.
-
-    The result is JSON-safe and :func:`kernel_from_dict` reconstructs an
-    equivalent kernel whose ``theta``/``bounds``/``__call__`` outputs are
-    bit-identical.  ``Matern(nu=inf)`` is supported: Python's ``json``
-    round-trips ``Infinity`` by default.
+    :func:`kernel_from_dict` reconstructs a kernel whose ``theta``,
+    ``bounds`` and ``__call__`` outputs are bit-identical.
     """
-    if isinstance(kernel, (Sum, Product)):
-        return {
-            "type": type(kernel).__name__,
-            "k1": kernel_to_dict(kernel.k1),
-            "k2": kernel_to_dict(kernel.k2),
-        }
-    if isinstance(kernel, ConstantKernel):
-        return {
+    if not isinstance(kernel, SquaredExponential):
+        raise TypeError(f"cannot serialize kernel of type {type(kernel).__name__}")
+    length_scale = kernel.length_scale
+    return {
+        "type": "Product",
+        "k1": {
             "type": "ConstantKernel",
-            "constant_value": float(kernel.constant_value),
-            "constant_value_bounds": _bounds_to_spec(kernel._hyper[0]),
-        }
-    if isinstance(kernel, WhiteKernel):
-        return {
-            "type": "WhiteKernel",
-            "noise_level": float(kernel.noise_level),
-            "noise_level_bounds": _bounds_to_spec(kernel._hyper[0]),
-        }
-    if isinstance(kernel, Matern):
-        return {
-            "type": "Matern",
-            "length_scale": _scalar_or_list(kernel.length_scale),
-            "length_scale_bounds": _bounds_to_spec(kernel._hyper[0]),
-            "nu": float(kernel.nu),
-        }
-    if isinstance(kernel, RBF):
-        return {
+            "constant_value": float(kernel.signal_variance),
+            "constant_value_bounds": _bounds_to_spec(kernel.signal_variance_bounds),
+        },
+        "k2": {
             "type": "RBF",
-            "length_scale": _scalar_or_list(kernel.length_scale),
-            "length_scale_bounds": _bounds_to_spec(kernel._hyper[0]),
-        }
-    if isinstance(kernel, RationalQuadratic):
-        return {
-            "type": "RationalQuadratic",
-            "length_scale": float(kernel.length_scale),
-            "alpha": float(kernel.alpha),
-            "length_scale_bounds": _bounds_to_spec(kernel._hyper[0]),
-            "alpha_bounds": _bounds_to_spec(kernel._hyper[1]),
-        }
-    raise TypeError(
-        f"cannot serialize kernel of type {type(kernel).__name__}; "
-        "kernel_to_dict supports the built-in kernel classes and their "
-        "Sum/Product compositions"
+            "length_scale": (
+                float(length_scale) if np.ndim(length_scale) == 0
+                else np.asarray(length_scale, dtype=float).tolist()
+            ),
+            "length_scale_bounds": _bounds_to_spec(kernel.length_scale_bounds),
+        },
+    }
+
+
+def kernel_from_dict(spec: dict) -> SquaredExponential:
+    """Reconstruct a kernel serialized by :func:`kernel_to_dict`.
+
+    Raises ``ValueError`` for any other spec, such as the other kernels and
+    kernel sums an older version could write.
+    """
+    try:
+        amplitude, rbf = spec["k1"], spec["k2"]
+        supported = (spec["type"], amplitude["type"], rbf["type"]) == (
+            "Product", "ConstantKernel", "RBF"
+        )
+    except (KeyError, TypeError):
+        supported = False
+    if not supported:
+        kind = spec.get("type") if isinstance(spec, dict) else type(spec).__name__
+        raise ValueError(
+            f"unsupported kernel spec (type {kind!r}): the only kernel is the "
+            f"squared exponential, serialized as {_SPEC_FORM}"
+        )
+    return SquaredExponential(
+        amplitude["constant_value"],
+        rbf["length_scale"],
+        signal_variance_bounds=amplitude["constant_value_bounds"],
+        length_scale_bounds=rbf["length_scale_bounds"],
     )
-
-
-def _spec_bounds(spec):
-    if isinstance(spec, str):
-        if spec != "fixed":
-            raise ValueError(f"invalid bounds spec {spec!r}")
-        return "fixed"
-    return (float(spec[0]), float(spec[1]))
-
-
-def kernel_from_dict(spec: dict) -> Kernel:
-    """Reconstruct a kernel previously serialized by :func:`kernel_to_dict`."""
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError("kernel spec must be a dict with a 'type' key")
-    kind = spec["type"]
-    if kind in ("Sum", "Product"):
-        cls = Sum if kind == "Sum" else Product
-        return cls(kernel_from_dict(spec["k1"]), kernel_from_dict(spec["k2"]))
-    if kind == "ConstantKernel":
-        return ConstantKernel(
-            spec["constant_value"], _spec_bounds(spec["constant_value_bounds"])
-        )
-    if kind == "WhiteKernel":
-        return WhiteKernel(
-            spec["noise_level"], _spec_bounds(spec["noise_level_bounds"])
-        )
-    if kind == "RBF":
-        return RBF(
-            spec["length_scale"], _spec_bounds(spec["length_scale_bounds"])
-        )
-    if kind == "Matern":
-        return Matern(
-            spec["length_scale"],
-            _spec_bounds(spec["length_scale_bounds"]),
-            nu=spec["nu"],
-        )
-    if kind == "RationalQuadratic":
-        return RationalQuadratic(
-            spec["length_scale"],
-            spec["alpha"],
-            _spec_bounds(spec["length_scale_bounds"]),
-            _spec_bounds(spec["alpha_bounds"]),
-        )
-    raise ValueError(f"unknown kernel type {kind!r}")

@@ -83,7 +83,7 @@ class SolverConfig:
     n_inducing:
         Inducing points ``m`` for the Nystrom backend.
     opt_subset:
-        Hyperparameter optimization runs on at most this many training
+        The hyperparameter search runs on at most this many training
         rows (exact LML on the subsample); the approximate posterior is
         then built on the full set at the optimum.
     budget_mean / budget_std:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.al.calibration import CoverageReport, coverage_curve, interval_coverage
-from repro.gp import RBF, ConstantKernel, GaussianProcessRegressor
+from repro.gp import GaussianProcessRegressor, SquaredExponential
 
 
 def _well_specified_model(n_train=60, n_test=400, noise_sd=0.1, seed=0):
@@ -14,7 +14,9 @@ def _well_specified_model(n_train=60, n_test=400, noise_sd=0.1, seed=0):
     y = f + noise_sd * rng.standard_normal(n_train)
     model = GaussianProcessRegressor(
         noise_variance=noise_sd**2, noise_variance_bounds="fixed",
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         optimizer=None,
     ).fit(X, y)
     X_test = rng.uniform(0, 6, size=(n_test, 1))
@@ -34,7 +36,9 @@ def test_overconfident_model_detected():
     model, X_test, y_test = _well_specified_model(noise_sd=0.2)
     overconfident = GaussianProcessRegressor(
         noise_variance=1e-6, noise_variance_bounds="fixed",
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         optimizer=None,
     ).fit(model.X_train_, model.y_train_)
     report = interval_coverage(overconfident, X_test, y_test)
@@ -48,7 +52,9 @@ def test_underconfident_model_wide_but_covered():
     model, X_test, y_test = _well_specified_model(noise_sd=0.05)
     padded = GaussianProcessRegressor(
         noise_variance=1.0, noise_variance_bounds="fixed",
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         optimizer=None,
     ).fit(model.X_train_, model.y_train_)
     report = interval_coverage(padded, X_test, y_test)

@@ -8,7 +8,7 @@ from repro.al import (
     maximize_cost_efficiency,
     maximize_sd,
 )
-from repro.gp import RBF, ConstantKernel, GaussianProcessRegressor
+from repro.gp import GaussianProcessRegressor, SquaredExponential
 
 
 @pytest.fixture()
@@ -18,7 +18,9 @@ def left_trained_model():
     X = rng.uniform(0, 4, size=(15, 1))
     y = 0.5 * X[:, 0] + 0.05 * rng.standard_normal(15)
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=0.01,
         noise_variance_bounds="fixed",
         optimizer=None,
@@ -54,7 +56,9 @@ def test_maximize_cost_efficiency_tradeoff():
     X = np.concatenate([rng.uniform(0, 2, 8), rng.uniform(8, 10, 8)])[:, np.newaxis]
     y = 0.5 * X[:, 0] + 0.02 * rng.standard_normal(16)
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(4.0, "fixed") * RBF(1.5, "fixed"),
+        kernel=SquaredExponential(
+            4.0, 1.5, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=0.01,
         noise_variance_bounds="fixed",
         optimizer=None,

@@ -13,7 +13,7 @@ from repro.al import (
     run_batch,
     select_batch,
 )
-from repro.gp import RBF, ConstantKernel, GaussianProcessRegressor
+from repro.gp import GaussianProcessRegressor, SquaredExponential
 
 
 def _problem(n=60, seed=0):
@@ -140,7 +140,9 @@ def fitted_model():
     X = rng.uniform(0, 4, size=(12, 1))
     y = np.sin(X[:, 0]) + 0.05 * rng.standard_normal(12)
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=0.01,
         noise_variance_bounds="fixed",
         optimizer=None,

@@ -174,13 +174,15 @@ def test_acquisition_prefers_cheap_tier_under_broad_uncertainty():
     """When latent variance dwarfs every tier's noise, the variance gains
     are nearly equal and the cheap probe wins on cost."""
     from repro.gp.gpr import GaussianProcessRegressor
-    from repro.gp.kernels import RBF, ConstantKernel
+    from repro.gp.kernels import SquaredExponential
 
     rng = np.random.default_rng(0)
     X = rng.uniform(-1, 1, size=(6, 2))
     y = np.array([_ref(x) for x in X])
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(4.0, "fixed") * RBF(0.3, "fixed"),
+        kernel=SquaredExponential(
+            4.0, 0.3, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=1e-4,
         noise_variance_bounds="fixed",
         optimizer=None,

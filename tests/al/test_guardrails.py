@@ -14,7 +14,7 @@ from repro.al.guardrails import (
     ModelHealth,
     apply_remediation,
 )
-from repro.gp import RBF, ConstantKernel, GaussianProcessRegressor
+from repro.gp import GaussianProcessRegressor, SquaredExponential
 
 
 def _fit_model(n=16, seed=0, noise=0.05, **kwargs):
@@ -22,7 +22,9 @@ def _fit_model(n=16, seed=0, noise=0.05, **kwargs):
     X = np.sort(rng.uniform(0, 6, size=n))[:, np.newaxis]
     y = np.sin(X[:, 0]) + noise * rng.standard_normal(n)
     defaults = dict(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=noise**2,
         noise_variance_bounds="fixed",
         optimizer=None,
@@ -64,7 +66,9 @@ def test_requires_fitted_model():
 def test_flags_ill_conditioned_kernel():
     # A huge length scale with near-zero noise makes K nearly rank-1.
     model, _, _ = _fit_model(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(500.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 500.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=1e-14,
         jitter=0.0,
     )
@@ -80,7 +84,9 @@ def test_flags_noise_pinned_at_floor():
     X = np.sort(rng.uniform(0, 6, size=20))[:, np.newaxis]
     y = np.sin(X[:, 0])  # noise-free data drives sigma_n to its floor
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=1e-2,
         noise_variance_bounds=(1e-4, 1e2),
         n_restarts=1,
@@ -108,7 +114,9 @@ def test_flags_loocv_outliers():
     y = np.sin(X[:, 0]) + 0.02 * rng.standard_normal(16)
     y[::2] += rng.choice([-3.0, 3.0], size=len(y[::2]))  # half the set corrupted
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=0.02**2,
         noise_variance_bounds="fixed",
         optimizer=None,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.al import amsd, evaluate_model, gmsd, nlpd, rmse
-from repro.gp import RBF, ConstantKernel, GaussianProcessRegressor
+from repro.gp import GaussianProcessRegressor, SquaredExponential
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +15,9 @@ def model():
     X = rng.uniform(0, 5, size=(15, 1))
     y = X[:, 0] + 0.1 * rng.standard_normal(15)
     m = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=0.01,
         noise_variance_bounds="fixed",
         optimizer=None,

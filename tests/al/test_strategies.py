@@ -11,7 +11,7 @@ from repro.al import (
     VarianceReduction,
     select_batch,
 )
-from repro.gp import RBF, ConstantKernel, GaussianProcessRegressor
+from repro.gp import GaussianProcessRegressor, SquaredExponential
 
 
 @pytest.fixture()
@@ -21,7 +21,9 @@ def fitted_model():
     X = rng.uniform(0, 4, size=(12, 1))
     y = np.sin(X[:, 0]) + 0.05 * rng.standard_normal(12)
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=0.01,
         noise_variance_bounds="fixed",
         optimizer=None,
@@ -155,7 +157,9 @@ def test_cost_model_efficiency_uses_external_cost(fitted_model, pool):
 
     # Cost grows steeply to the right of the domain.
     cost_gp = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(2.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 2.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=1e-4, noise_variance_bounds="fixed", optimizer=None,
     ).fit(pool.X, 0.5 * pool.X[:, 0])
     strat = CostModelEfficiency(cost_model=cost_gp, cost_weight=10.0)
@@ -185,7 +189,9 @@ def test_tied_scores_break_randomly_not_by_pool_order():
     deterministically favour record 0 (dataset order)."""
     X = np.linspace(0, 10, 15)[:, np.newaxis]
     prior = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=0.01,
         noise_variance_bounds="fixed",
         optimizer=None,
@@ -203,7 +209,9 @@ def test_tied_scores_break_randomly_not_by_pool_order():
 def test_tied_scores_reproducible_per_seed():
     X = np.linspace(0, 10, 15)[:, np.newaxis]
     prior = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=0.01,
         noise_variance_bounds="fixed",
         optimizer=None,

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.gp import RBF, ConstantKernel, GaussianProcessRegressor
+from repro.gp import GaussianProcessRegressor, SquaredExponential
 
 
 def _fixed_gp(noise=0.01, l=1.0, amp=1.0):
     return GaussianProcessRegressor(
-        kernel=ConstantKernel(amp, "fixed") * RBF(l, "fixed"),
+        kernel=SquaredExponential(
+            amp, l, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=noise,
         noise_variance_bounds="fixed",
         optimizer=None,

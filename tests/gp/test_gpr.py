@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gp import (
-    RBF,
-    ConstantKernel,
     GaussianProcessRegressor,
-    WhiteKernel,
+    SquaredExponential,
     default_kernel,
 )
 
@@ -34,7 +32,9 @@ def test_predict_interpolates_noise_free():
     X = np.linspace(0, 1, 7)[:, np.newaxis]
     y = np.cos(3 * X[:, 0])
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(0.3, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 0.3, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=1e-10,
         noise_variance_bounds="fixed",
         optimizer=None,
@@ -46,7 +46,9 @@ def test_latent_sd_near_zero_at_training_points():
     X = np.linspace(0, 1, 7)[:, np.newaxis]
     y = np.cos(3 * X[:, 0])
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(0.3, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 0.3, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=1e-10,
         noise_variance_bounds="fixed",
         optimizer=None,
@@ -283,28 +285,6 @@ def test_fixed_noise_not_optimized(small_1d_problem):
     assert model.noise_variance_ == pytest.approx(0.123)
 
 
-def test_white_kernel_inside_kernel_equivalent(small_1d_problem):
-    """Noise via WhiteKernel ~ explicit noise_variance (same LML optimum)."""
-    X, y = small_1d_problem
-    m1 = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.5, "fixed"),
-        noise_variance=0.01,
-        noise_variance_bounds="fixed",
-        optimizer=None,
-    ).fit(X, y)
-    m2 = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.5, "fixed")
-        + WhiteKernel(0.01, "fixed"),
-        noise_variance=1e-12,
-        noise_variance_bounds="fixed",
-        optimizer=None,
-        jitter=0.0,
-    ).fit(X, y)
-    np.testing.assert_allclose(m1.lml_, m2.lml_, rtol=1e-6)
-    Xq = np.linspace(0, 10, 5)[:, np.newaxis]
-    np.testing.assert_allclose(m1.predict(Xq), m2.predict(Xq), rtol=1e-6)
-
-
 def test_input_validation():
     model = GaussianProcessRegressor()
     with pytest.raises(ValueError):
@@ -388,7 +368,9 @@ def test_property_prediction_scales_with_targets(scale):
     X = np.linspace(0, 1, 8)[:, np.newaxis]
     y = np.sin(4 * X[:, 0])
     kw = dict(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(0.4, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 0.4, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=1e-6,
         noise_variance_bounds="fixed",
         optimizer=None,
@@ -422,7 +404,9 @@ def _ill_conditioned_fit(shrink):
     X = np.linspace(0, 1, 25)[:, np.newaxis]
     y = np.sin(4 * X[:, 0])
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(0.5, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 0.5, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=1e-10,
         noise_variance_bounds="fixed",
         optimizer=None,

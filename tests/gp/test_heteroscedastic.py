@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.gp.gpr import GaussianProcessRegressor
-from repro.gp.kernels import RBF, ConstantKernel
+from repro.gp.kernels import SquaredExponential
 
 
 def _data(n=14, seed=0):
@@ -22,7 +22,9 @@ def _data(n=14, seed=0):
 
 def _fixed_kernel_model(**kw):
     return GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         optimizer=None,
         **kw,
     )

@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 from scipy.linalg import cholesky
 
 from repro.gp import (
-    RBF,
-    ConstantKernel,
     GaussianProcessRegressor,
     NotPositiveDefiniteError,
+    SquaredExponential,
     cholesky_append,
 )
 
 
 def _fixed_model(noise=0.01, **kw):
     return GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=noise,
         noise_variance_bounds="fixed",
         optimizer=None,

@@ -1,32 +1,34 @@
-"""Unit and property-based tests for the kernel stack."""
+"""Unit and property-based tests for the squared-exponential kernel."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gp import (
-    RBF,
-    ConstantKernel,
-    Hyperparameter,
-    Matern,
-    Product,
-    RationalQuadratic,
-    Sum,
-    WhiteKernel,
-)
+from repro.gp import SquaredExponential, default_kernel
 
+
+def _se(length_scale, amplitude="free", scale="free"):
+    return SquaredExponential(
+        2.0,
+        length_scale,
+        signal_variance_bounds=(1e-3, 1e3) if amplitude == "free" else "fixed",
+        length_scale_bounds=(1e-2, 1e2) if scale == "free" else "fixed",
+    )
+
+
+# The four free/fixed configurations, isotropic and ARD, plus the defaults.
 ALL_KERNELS = [
-    lambda: ConstantKernel(2.0),
-    lambda: WhiteKernel(0.5),
-    lambda: RBF(1.3),
-    lambda: RBF([0.8, 2.0]),
-    lambda: Matern(0.9, nu=0.5),
-    lambda: Matern(0.9, nu=1.5),
-    lambda: Matern(0.9, nu=2.5),
-    lambda: Matern(0.9, nu=float("inf")),
-    lambda: RationalQuadratic(1.1, 0.7),
-    lambda: ConstantKernel(1.5) * RBF(0.7) + WhiteKernel(0.2),
+    lambda: _se(1.3),
+    lambda: _se(1.3, amplitude="fixed"),
+    lambda: _se(1.3, scale="fixed"),
+    lambda: _se(1.3, amplitude="fixed", scale="fixed"),
+    lambda: _se([0.8, 2.0]),
+    lambda: _se([0.8, 2.0], amplitude="fixed"),
+    lambda: _se([0.8, 2.0], scale="fixed"),
+    lambda: _se([0.8, 2.0], amplitude="fixed", scale="fixed"),
+    lambda: default_kernel(1),
+    lambda: default_kernel(2, ard=True),
 ]
 
 
@@ -38,7 +40,7 @@ def _data(d=1, n=9, seed=0):
 @pytest.mark.parametrize("make", ALL_KERNELS)
 def test_symmetry(make):
     k = make()
-    d = 2 if getattr(k, "anisotropic", False) else 1
+    d = 2 if k.anisotropic else 1
     X = _data(d)
     K = k(X)
     np.testing.assert_allclose(K, K.T, atol=1e-12)
@@ -47,7 +49,7 @@ def test_symmetry(make):
 @pytest.mark.parametrize("make", ALL_KERNELS)
 def test_positive_semidefinite(make):
     k = make()
-    d = 2 if getattr(k, "anisotropic", False) else 1
+    d = 2 if k.anisotropic else 1
     X = _data(d)
     eigvals = np.linalg.eigvalsh(k(X))
     assert eigvals.min() > -1e-9
@@ -56,32 +58,24 @@ def test_positive_semidefinite(make):
 @pytest.mark.parametrize("make", ALL_KERNELS)
 def test_diag_matches_full(make):
     k = make()
-    d = 2 if getattr(k, "anisotropic", False) else 1
+    d = 2 if k.anisotropic else 1
     X = _data(d)
     np.testing.assert_allclose(k.diag(X), np.diag(k(X)), atol=1e-12)
 
 
 @pytest.mark.parametrize("make", ALL_KERNELS)
 def test_cross_covariance_consistent(make):
-    """k(X, X) as cross-covariance must match k(X) except for White noise."""
+    """k(X, X) as cross-covariance must match k(X)."""
     k = make()
-    d = 2 if getattr(k, "anisotropic", False) else 1
+    d = 2 if k.anisotropic else 1
     X = _data(d)
-    K_sym = k(X)
-    K_cross = k(X, X)
-    has_white = "White" in repr(k)
-    if has_white:
-        # The noise term appears only on the K(X) diagonal.
-        off = ~np.eye(len(X), dtype=bool)
-        np.testing.assert_allclose(K_cross[off], K_sym[off], atol=1e-12)
-    else:
-        np.testing.assert_allclose(K_cross, K_sym, atol=1e-12)
+    np.testing.assert_allclose(k(X, X), k(X), atol=1e-12)
 
 
 @pytest.mark.parametrize("make", ALL_KERNELS)
 def test_gradient_matches_finite_differences(make):
     k = make()
-    d = 2 if getattr(k, "anisotropic", False) else 1
+    d = 2 if k.anisotropic else 1
     X = _data(d)
     K, grad = k(X, eval_gradient=True)
     theta = k.theta
@@ -109,106 +103,74 @@ def test_theta_roundtrip(make):
 
 
 def test_theta_is_log_space():
-    k = RBF(2.0)
-    assert k.theta[0] == pytest.approx(np.log(2.0))
-    k.theta = np.array([np.log(5.0)])
+    k = SquaredExponential(3.0, 2.0)
+    np.testing.assert_allclose(k.theta, np.log([3.0, 2.0]))
+    k.theta = np.log([4.0, 5.0])
+    assert k.signal_variance == pytest.approx(4.0)
     assert k.length_scale == pytest.approx(5.0)
 
 
 def test_fixed_hyperparameters_excluded():
-    k = ConstantKernel(2.0, "fixed") * RBF(1.0)
-    assert k.n_dims == 1  # only the RBF length scale is free
+    k = SquaredExponential(2.0, 1.0, signal_variance_bounds="fixed")
+    assert k.n_dims == 1  # only the length scale is free
     K, grad = k(_data(), eval_gradient=True)
     assert grad.shape[-1] == 1
 
 
 def test_fully_fixed_kernel_has_empty_theta():
-    k = ConstantKernel(2.0, "fixed") * RBF(1.0, "fixed")
+    k = SquaredExponential(
+        2.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+    )
     assert k.theta.size == 0
     assert k.bounds.shape == (0, 2)
 
 
 def test_bounds_shape_and_log_space():
-    k = ConstantKernel(1.0, (1e-2, 1e2)) * RBF(1.0, (1e-1, 1e1))
+    k = SquaredExponential(
+        1.0, 1.0, signal_variance_bounds=(1e-2, 1e2), length_scale_bounds=(1e-1, 1e1)
+    )
     b = k.bounds
     assert b.shape == (2, 2)
     np.testing.assert_allclose(b[0], np.log([1e-2, 1e2]))
     np.testing.assert_allclose(b[1], np.log([1e-1, 1e1]))
 
 
-def test_sum_and_product_values():
-    X = _data()
-    k1, k2 = RBF(1.0), ConstantKernel(3.0)
-    np.testing.assert_allclose(Sum(k1, k2)(X), k1(X) + k2(X))
-    np.testing.assert_allclose(Product(k1, k2)(X), k1(X) * k2(X))
-
-
-def test_operator_overloads_with_scalars():
-    X = _data()
-    k = 2.0 * RBF(1.0)
-    np.testing.assert_allclose(k(X), 2.0 * RBF(1.0)(X))
-    k = RBF(1.0) + 0.5
-    np.testing.assert_allclose(np.diag(k(X)), np.ones(len(X)) + 0.5)
-
-
 def test_composite_theta_ordering():
-    k = ConstantKernel(2.0) * RBF(3.0) + WhiteKernel(0.1)
-    np.testing.assert_allclose(k.theta, np.log([2.0, 3.0, 0.1]))
+    """theta is [log sigma_f^2, log l_1, ..., log l_d]; ARD scales follow in order."""
+    k = SquaredExponential(2.0, [3.0, 0.5])
+    np.testing.assert_allclose(k.theta, np.log([2.0, 3.0, 0.5]))
     k.theta = np.log([4.0, 5.0, 0.2])
-    assert k.k1.k1.constant_value == pytest.approx(4.0)
-    assert k.k1.k2.length_scale == pytest.approx(5.0)
-    assert k.k2.noise_level == pytest.approx(0.2)
-
-
-def test_matern_inf_equals_rbf():
-    X = _data()
-    np.testing.assert_allclose(
-        Matern(0.8, nu=float("inf"))(X), RBF(0.8)(X), atol=1e-12
-    )
-
-
-def test_matern_smoothness_ordering():
-    """At moderate distance, rougher Matern decays no slower than smoother."""
-    X = np.array([[0.0], [1.0]])
-    vals = [Matern(1.0, nu=nu)(X)[0, 1] for nu in (0.5, 1.5, 2.5)]
-    assert vals[0] < vals[1] < vals[2]
+    assert k.signal_variance == pytest.approx(4.0)
+    np.testing.assert_allclose(k.length_scale, [5.0, 0.2])
+    np.testing.assert_allclose(k.bounds[1:], np.log([[1e-5, 1e5]] * 2))
 
 
 def test_rbf_ard_mismatched_dims_raises():
     with pytest.raises(ValueError, match="ARD"):
-        RBF([1.0, 2.0])(_data(d=3))
+        SquaredExponential(1.0, [1.0, 2.0])(_data(d=3))
 
 
 def test_invalid_constructor_args():
     with pytest.raises(ValueError):
-        RBF(-1.0)
+        SquaredExponential(1.0, -1.0)
     with pytest.raises(ValueError):
-        ConstantKernel(0.0)
+        SquaredExponential(1.0, [1.0, 0.0])
     with pytest.raises(ValueError):
-        WhiteKernel(-0.1)
-    with pytest.raises(ValueError):
-        Matern(1.0, nu=1.7)
-    with pytest.raises(ValueError):
-        RationalQuadratic(1.0, -1.0)
+        SquaredExponential(0.0, 1.0)
 
 
 def test_gradient_with_Y_raises():
     X = _data()
     with pytest.raises(ValueError, match="gradient"):
-        RBF(1.0)(X, X, eval_gradient=True)
+        SquaredExponential()(X, X, eval_gradient=True)
 
 
 def test_hyperparameter_bounds_validation():
-    with pytest.raises(ValueError):
-        Hyperparameter("x", (1.0, 0.5))
-    with pytest.raises(ValueError):
-        Hyperparameter("x", (-1.0, 2.0))
-    with pytest.raises(ValueError):
-        Hyperparameter("x", "frozen")
-    h = Hyperparameter("x", "fixed")
-    assert h.fixed
-    with pytest.raises(ValueError):
-        h.log_bounds()
+    for bad in ((1.0, 0.5), (-1.0, 2.0), "frozen"):
+        with pytest.raises(ValueError):
+            SquaredExponential(signal_variance_bounds=bad)
+        with pytest.raises(ValueError):
+            SquaredExponential(length_scale_bounds=bad)
 
 
 @given(
@@ -218,10 +180,10 @@ def test_hyperparameter_bounds_validation():
 )
 @settings(max_examples=30, deadline=None)
 def test_property_psd_and_bounded(ls, amp, n):
-    """C*RBF kernels are PSD with entries in [0, amp]."""
+    """SE kernels are PSD with entries in [0, amp]."""
     rng = np.random.default_rng(0)
     X = rng.uniform(-3, 3, size=(n, 2))
-    K = (ConstantKernel(amp) * RBF(ls))(X)
+    K = SquaredExponential(amp, ls)(X)
     assert np.all(K <= amp + 1e-12)
     assert np.all(K >= 0)
     assert np.linalg.eigvalsh(K).min() > -1e-8 * amp
@@ -230,7 +192,8 @@ def test_property_psd_and_bounded(ls, amp, n):
 @given(shift=st.floats(-5, 5))
 @settings(max_examples=25, deadline=None)
 def test_property_stationarity(shift):
-    """Stationary kernels are invariant under input translation."""
-    X = _data()
-    for k in (RBF(1.0), Matern(1.0, nu=1.5), RationalQuadratic(1.0, 1.0)):
+    """The kernel is invariant under input translation."""
+    for make in ALL_KERNELS:
+        k = make()
+        X = _data(2 if k.anisotropic else 1)
         np.testing.assert_allclose(k(X), k(X + shift), atol=1e-10)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.gp import (
-    RBF,
-    ConstantKernel,
     GaussianProcessRegressor,
+    SquaredExponential,
     fit_loocv,
     loo_pseudo_likelihood,
     loo_residuals,
@@ -18,7 +17,9 @@ def _model_and_data(seed=0, n=14):
     X = np.sort(rng.uniform(0, 6, size=n))[:, np.newaxis]
     y = np.sin(X[:, 0]) + 0.05 * rng.standard_normal(n)
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=0.01,
         noise_variance_bounds="fixed",
         optimizer=None,
@@ -55,7 +56,9 @@ def test_pseudo_likelihood_prefers_reasonable_hypers():
     X = np.sort(rng.uniform(0, 6, size=14))[:, np.newaxis]
     y = np.sin(X[:, 0]) + 0.05 * rng.standard_normal(14)
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, (1e-3, 1e3)),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds=(1e-3, 1e3)
+        ),
         noise_variance=0.01,
         noise_variance_bounds="fixed",
         optimizer=None,
@@ -75,7 +78,12 @@ def test_fit_loocv_improves_pseudo_likelihood():
     model, X, y = _model_and_data()
     # Free the length scale and noise for the LOO fit.
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, (1e-2, 1e2)) * RBF(5.0, (1e-2, 1e2)),
+        kernel=SquaredExponential(
+            1.0,
+            5.0,
+            signal_variance_bounds=(1e-2, 1e2),
+            length_scale_bounds=(1e-2, 1e2),
+        ),
         noise_variance=0.5,
         noise_variance_bounds=(1e-4, 10.0),
         n_restarts=1,
@@ -116,7 +124,9 @@ def test_standardized_residuals_flag_planted_outlier():
     y = np.sin(X[:, 0]) + 0.02 * rng.standard_normal(20)
     y[7] += 4.0  # planted outlier, ~200 noise SDs off the surface
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=0.02**2,
         noise_variance_bounds="fixed",
         optimizer=None,
@@ -139,7 +149,9 @@ def test_standardized_residuals_near_standard_normal_when_clean():
     X = np.sort(rng.uniform(0, 6, size=40))[:, np.newaxis]
     y = np.sin(X[:, 0]) + 0.05 * rng.standard_normal(40)
     model = GaussianProcessRegressor(
-        kernel=ConstantKernel(1.0, "fixed") * RBF(1.0, "fixed"),
+        kernel=SquaredExponential(
+            1.0, 1.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
         noise_variance=0.05**2,
         noise_variance_bounds="fixed",
         optimizer=None,

@@ -11,15 +11,12 @@ import numpy as np
 import pytest
 
 from repro.gp import (
-    RBF,
-    ConstantKernel,
     GaussianProcessRegressor,
-    Matern,
-    RationalQuadratic,
-    WhiteKernel,
+    SquaredExponential,
     kernel_from_dict,
     kernel_to_dict,
 )
+from repro.serve import ModelRegistry, model_checksum
 
 
 def _roundtrip(model):
@@ -95,8 +92,11 @@ class TestModelRoundTrip:
 
     def test_explicit_kernel_template_preserved(self):
         X, y = _problem(seed=8)
-        kernel = ConstantKernel(2.0, (1e-3, 1e3)) * Matern(
-            [1.0, 2.0], (1e-2, 1e2), nu=2.5
+        kernel = SquaredExponential(
+            2.0,
+            [1.0, 2.0],
+            signal_variance_bounds=(1e-3, 1e3),
+            length_scale_bounds=(1e-2, 1e2),
         )
         model = GaussianProcessRegressor(kernel=kernel, rng=0, n_restarts=1)
         model.fit(X, y)
@@ -139,22 +139,62 @@ class TestIntegrity:
         assert a.training_hash() != b.training_hash()
 
 
+_FIXED = "fixed"
+
+# The removed kernel types and compositions an older version could write.
+_REMOVED_SPECS = [
+    {"type": "Matern", "length_scale": 1.0, "length_scale_bounds": _FIXED, "nu": 1.5},
+    {"type": "WhiteKernel", "noise_level": 0.1, "noise_level_bounds": _FIXED},
+    {
+        "type": "Sum",
+        "k1": {"type": "RBF", "length_scale": 1.0, "length_scale_bounds": _FIXED},
+        "k2": {"type": "WhiteKernel", "noise_level": 0.1, "noise_level_bounds": _FIXED},
+    },
+    {
+        "type": "Product",
+        "k1": {"type": "ConstantKernel", "constant_value": 1.0,
+               "constant_value_bounds": _FIXED},
+        "k2": {"type": "Matern", "length_scale": 1.0, "length_scale_bounds": _FIXED,
+               "nu": 2.5},
+    },
+    {"type": "RBF", "length_scale": 1.0, "length_scale_bounds": _FIXED},
+]
+
+
 class TestKernelRoundTrip:
     @pytest.mark.parametrize(
         "kernel",
         [
-            RBF(0.7, (1e-2, 1e2)),
-            RBF([0.5, 2.0, 1.3], (1e-2, 1e2)),
-            RBF(1.0, "fixed"),
-            Matern(0.9, (1e-2, 1e2), nu=1.5),
-            Matern([1.0, 0.4], (1e-2, 1e2), nu=np.inf),
-            WhiteKernel(1e-3, (1e-6, 1e1)),
-            ConstantKernel(4.2, "fixed"),
-            RationalQuadratic(1.1, 0.6, (1e-2, 1e2), (1e-2, 1e2)),
-            ConstantKernel(1.5, (1e-3, 1e3)) * RBF(0.8, (1e-2, 1e2))
-            + WhiteKernel(1e-2, (1e-4, 1e0)),
+            pytest.param(
+                SquaredExponential(1.0, 0.7, signal_variance_bounds=_FIXED,
+                                   length_scale_bounds=(1e-2, 1e2)),
+                id="unit_amp-iso",
+            ),
+            pytest.param(
+                SquaredExponential(1.0, [0.5, 2.0, 1.3], signal_variance_bounds=_FIXED,
+                                   length_scale_bounds=(1e-2, 1e2)),
+                id="unit_amp-ard",
+            ),
+            pytest.param(
+                SquaredExponential(1.0, 1.0, signal_variance_bounds=_FIXED,
+                                   length_scale_bounds=_FIXED),
+                id="all_fixed",
+            ),
+            pytest.param(
+                SquaredExponential(4.2, 1.0, signal_variance_bounds=_FIXED),
+                id="fixed_amp",
+            ),
+            pytest.param(
+                SquaredExponential(1.5, 0.8, signal_variance_bounds=(1e-3, 1e3),
+                                   length_scale_bounds=(1e-2, 1e2)),
+                id="all_free",
+            ),
+            pytest.param(
+                SquaredExponential(1.5, [0.8, 3.0], signal_variance_bounds=(1e-3, 1e3),
+                                   length_scale_bounds=_FIXED),
+                id="fixed_ard_ls",
+            ),
         ],
-        ids=lambda k: repr(k)[:40],
     )
     def test_theta_bounds_and_matrix_identical(self, kernel):
         spec = json.loads(json.dumps(kernel_to_dict(kernel)))
@@ -162,23 +202,41 @@ class TestKernelRoundTrip:
         assert type(restored) is type(kernel)
         assert np.array_equal(restored.theta, kernel.theta)
         assert np.array_equal(restored.bounds, kernel.bounds)
-        X = np.random.default_rng(0).uniform(size=(9, kernel.theta.size or 1))
-        if hasattr(kernel, "length_scale") and np.ndim(kernel.length_scale):
-            X = X[:, : len(kernel.length_scale)]
-        else:
-            X = X[:, :2]
+        X = np.random.default_rng(0).uniform(size=(9, np.size(kernel.length_scale)))
         assert np.array_equal(restored(X), kernel(X))
 
     def test_unserializable_kernel_raises(self):
-        class Weird(RBF):
-            pass
-
-        # Subclass of a supported type is fine (serialized as the base);
-        # a genuinely unknown type must be rejected.
-        with pytest.raises(ValueError, match="unknown kernel type"):
+        with pytest.raises(ValueError, match="unsupported kernel spec"):
             kernel_from_dict({"type": "NoSuchKernel"})
         with pytest.raises(ValueError):
             kernel_from_dict({"no_type": True})
+        with pytest.raises(TypeError):
+            kernel_to_dict("not a kernel")
+
+    @pytest.mark.parametrize("spec", _REMOVED_SPECS, ids=lambda s: s["type"])
+    def test_removed_kernel_names_the_supported_form(self, spec, tmp_path):
+        form = r"Product\(ConstantKernel, RBF\)"
+        with pytest.raises(ValueError, match=form):
+            kernel_from_dict(spec)
+        X, y = _problem(n=12)
+        model = GaussianProcessRegressor(rng=0, n_restarts=0).fit(X, y)
+        payload = json.loads(json.dumps(model.to_dict()))
+        payload["kernel_"] = spec
+        with pytest.raises(ValueError, match=form):
+            GaussianProcessRegressor.from_dict(payload)
+        # A registry version written with a removed kernel (checksums intact).
+        registry = ModelRegistry(tmp_path / "reg")
+        registry.publish(model)
+        path = registry._version_path(1)
+        entry = json.loads(path.read_text())
+        entry["model"]["kernel_"] = spec
+        entry["checksum"] = model_checksum(entry["model"])
+        path.write_text(json.dumps(entry))
+        manifest = json.loads(registry.manifest_path.read_text())
+        manifest["entries"]["1"]["checksum"] = entry["checksum"]
+        registry.manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=form):
+            registry.load(1)
 
 
 class TestUpdateClearsStaleFitState:
