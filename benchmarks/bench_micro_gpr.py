@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.gp import GaussianProcessRegressor
+from repro.gp.gpr import _FitObjective
 
 
 def _data(n, d=2, seed=0):
@@ -46,4 +47,20 @@ def test_lml_gradient_evaluation(benchmark):
         model.log_marginal_likelihood, theta, eval_gradient=True
     )
     assert np.isfinite(lml)
+    assert grad.shape == theta.shape
+
+
+@pytest.mark.parametrize("n", [10, 50, 100, 150])
+def test_lml_objective_call(benchmark, n):
+    """One call of the objective a fit hands L-BFGS-B: ``theta -> (-LML, -grad)``.
+
+    2-D inputs and the default isotropic kernel, like ``paper_al``, whose
+    fits make ~12k such calls a pass at 1 to 101 rows.  The table in
+    ``benchmarks/README.md`` comes from this case.
+    """
+    X, y = _data(n)
+    model = GaussianProcessRegressor(rng=0, n_restarts=0).fit(X, y)
+    theta = model._theta()
+    value, grad = benchmark(_FitObjective(model, X, y), theta)
+    assert np.isfinite(value)
     assert grad.shape == theta.shape

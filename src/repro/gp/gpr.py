@@ -45,10 +45,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .. import telemetry as tm
 from .incremental import NotPositiveDefiniteError, cholesky_append
-from .kernels import SquaredExponential, kernel_from_dict, kernel_to_dict
+from .kernels import SquaredExponential, kernel_from_dict, kernel_to_dict, se_covariance
 from .optimize import OptimizeOutcome, minimize_with_restarts
 from .solvers import (
     ApproxFitState,
@@ -88,30 +89,136 @@ def default_kernel(n_features: int = 1, *, ard: bool = False) -> SquaredExponent
     )
 
 
-class _FitObjective:
-    """Picklable ``theta -> (negative LML, gradient)`` for one fit's data.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A non-writeable view of ``array``; the array itself keeps its flags."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
-    Built once per :meth:`GaussianProcessRegressor.fit` around a template
-    regressor holding the search's starting hyperparameters.
-    :meth:`~GaussianProcessRegressor.log_marginal_likelihood` only reads
-    the template, so the objective is stateless: safe to invoke
-    concurrently from restart threads and cheap to pickle to restart
-    processes (see ``minimize_with_restarts(..., executor=)``).
+
+class _FitObjective:
+    """Per-fit workspace for the log marginal likelihood (Eqs. 12-13).
+
+    Built once per :meth:`GaussianProcessRegressor.fit` from the model's
+    starting hyperparameters and the already validated ``X``, ``y`` and
+    per-point noise ``alpha``; calling it maps the joint log-space ``theta``
+    to ``(negative LML, negative gradient)`` for the optimizer.
+    :meth:`GaussianProcessRegressor.log_marginal_likelihood` validates its
+    arguments and evaluates through the same :meth:`evaluate`.
+
+    Per call it reads ``sigma_f^2``, ``l`` and ``sigma_n^2`` off ``theta``
+    (each slice exponentiated as :attr:`SquaredExponential.theta` does),
+    builds ``K`` and its gradient with :func:`~repro.gp.kernels.se_covariance`
+    and factors ``K_y`` with LAPACK's ``potrf``/``potrs``, the routines
+    ``scipy.linalg.cholesky``/``cho_solve`` wrap: Rasmussen & Williams
+    Alg. 2.1 plus the gradient of Eq. (5.9).  Its arrays are read-only and
+    every call works on its own temporaries, so the objective is stateless:
+    safe to invoke concurrently from restart threads and cheap to pickle to
+    restart processes (see ``minimize_with_restarts(..., executor=)``).
     """
 
-    __slots__ = ("model", "X", "y", "alpha")
+    __slots__ = (
+        "signal_variance",
+        "length_scale",
+        "free_amplitude",
+        "free_length_scale",
+        "noise_variance",
+        "learn_noise",
+        "jitter",
+        "n_theta",
+        "X",
+        "y",
+        "alpha",
+        "identity",
+    )
 
-    def __init__(self, model, X, y, alpha=None):
-        self.model = model
-        self.X = X
-        self.y = y
-        self.alpha = alpha  # per-point noise variance (units of y), or None
+    def __init__(self, model: "GaussianProcessRegressor", X, y, alpha=None):
+        kernel = model.kernel_
+        kernel._checked(X)  # an ARD length scale must match X's features
+        self.signal_variance = kernel.signal_variance
+        ls = kernel.length_scale
+        self.length_scale = _read_only(ls.copy()) if np.ndim(ls) else ls
+        self.free_amplitude = kernel.signal_variance_bounds != "fixed"
+        self.free_length_scale = kernel.length_scale_bounds != "fixed"
+        self.noise_variance = model.noise_variance_
+        self.learn_noise = not model._noise_free
+        self.jitter = model.jitter
+        self.n_theta = kernel.n_dims + int(self.learn_noise)
+        self.X = _read_only(X)
+        self.y = _read_only(y)
+        self.alpha = None if alpha is None else _read_only(alpha)  # units of y
+        self.identity = _read_only(np.eye(X.shape[0]))
+
+    def __getstate__(self) -> dict:
+        # The identity is rebuilt on load rather than shipped to processes.
+        return {n: getattr(self, n) for n in self.__slots__ if n != "identity"}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                value = _read_only(value)
+            setattr(self, name, value)
+        self.identity = _read_only(np.eye(self.X.shape[0]))
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        lml, grad = self.model.log_marginal_likelihood(
-            theta, eval_gradient=True, X=self.X, y=self.y, alpha=self.alpha
-        )
+        lml, grad = self.evaluate(*self.hyperparameters(theta), eval_gradient=True)
         return -lml, -grad
+
+    def hyperparameters(self, theta) -> tuple:
+        """``(sigma_f^2, l, sigma_n^2)`` at joint ``theta``; fixed ones as built."""
+        theta = np.asarray(theta, dtype=float)
+        c, ls, noise = self.signal_variance, self.length_scale, self.noise_variance
+        idx = 0
+        if self.free_amplitude:
+            c = float(np.exp(theta[0:1])[0])
+            idx = 1
+        if self.free_length_scale:
+            size = np.size(ls)
+            chunk = np.exp(theta[idx : idx + size])
+            ls = float(chunk[0]) if size == 1 else chunk
+            idx += size
+        if self.learn_noise:
+            noise = float(np.exp(theta[idx]))
+        return c, ls, noise
+
+    def evaluate(self, signal_variance, length_scale, noise_variance, *, eval_gradient):
+        """LML at the given hyperparameters, with its ``theta`` gradient if asked.
+
+        A ``K_y`` that is not positive definite gives ``-inf`` (and a zero
+        gradient) and counts ``gp.lml.cholesky_failure``.
+        """
+        K = se_covariance(
+            self.X,
+            signal_variance,
+            length_scale,
+            eval_gradient=eval_gradient,
+            free_amplitude=self.free_amplitude,
+            free_length_scale=self.free_length_scale,
+        )
+        if eval_gradient:
+            K, K_grad = K
+        add_noise_diagonal(K, noise_variance, self.jitter, self.alpha)
+        # K is exactly symmetric, so K.T is the same matrix in the column-major
+        # layout LAPACK factors in place.
+        L, info = dpotrf(K.T, lower=1, clean=1, overwrite_a=1)
+        if info > 0:
+            tm.count("gp.lml.cholesky_failure")
+            if eval_gradient:
+                return -np.inf, np.zeros(self.n_theta)
+            return -np.inf
+        weights = dpotrs(L, self.y, lower=1)[0]
+        lml = GaussianProcessRegressor._lml_from_cholesky(L, weights, self.y)
+        if not eval_gradient:
+            return lml
+        # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^{-1}) dK/dtheta_j)
+        K_inv = dpotrs(L, self.identity, lower=1)[0]
+        inner = np.outer(weights, weights) - K_inv
+        grads = 0.5 * np.einsum("ij,ijk->k", inner, K_grad)
+        if self.learn_noise:
+            # dK/d(log sigma_n^2) = sigma_n^2 * I
+            noise_grad = 0.5 * noise_variance * np.trace(inner)
+            grads = np.append(grads, noise_grad)
+        return lml, grads
 
 
 @dataclass
@@ -273,26 +380,26 @@ class GaussianProcessRegressor:
         if not self._noise_free:
             self.noise_variance_ = float(np.exp(theta[nk]))
 
-    def _at_theta(self, theta, n_features: int) -> tuple[SquaredExponential, float]:
-        """Kernel and noise variance at joint ``theta``, leaving the model as is.
+    def _objective_at(self, theta, X, y, alpha=None) -> tuple:
+        """The LML objective on validated data, and the hyperparameters at ``theta``.
 
         ``theta=None`` means the current hyperparameters.  A model without
-        ``kernel_`` first instantiates its template for ``n_features``
-        inputs.
+        ``kernel_`` first instantiates its template for ``X``'s features.
         """
         if self.kernel_ is None:
-            self.kernel_ = self._template_kernel(n_features)
+            self.kernel_ = self._template_kernel(X.shape[1])
+        objective = _FitObjective(self, X, y, alpha)
         if theta is None:
-            return self.kernel_, self.noise_variance_
+            kernel = self.kernel_
+            return objective, (
+                kernel.signal_variance, kernel.length_scale, self.noise_variance_
+            )
         theta = np.asarray(theta, dtype=float)
-        nk = self.kernel_.n_dims
-        expected = (nk + (0 if self._noise_free else 1),)
-        if theta.shape != expected:
-            raise ValueError(f"theta has shape {theta.shape}, expected {expected}")
-        kernel = self.kernel_.clone_with_theta(theta[:nk])
-        if self._noise_free:
-            return kernel, self.noise_variance_
-        return kernel, float(np.exp(theta[nk]))
+        if theta.shape != (objective.n_theta,):
+            raise ValueError(
+                f"theta has shape {theta.shape}, expected ({objective.n_theta},)"
+            )
+        return objective, objective.hyperparameters(theta)
 
     def _template_kernel(self, n_features: int) -> SquaredExponential:
         """A fresh copy of the constructor kernel (the default one for ``None``)."""
@@ -433,15 +540,8 @@ class GaussianProcessRegressor:
         if self.optimizer is not None and theta0.size > 0:
             # A picklable, stateless objective (not a bound-method closure)
             # so restart descents can run on thread or process pools.
-            template = GaussianProcessRegressor(
-                noise_variance=self.noise_variance_,
-                noise_variance_bounds=self.noise_variance_bounds,
-                optimizer=None,
-                jitter=self.jitter,
-            )
-            template.kernel_ = self.kernel_.clone_with_theta(self.kernel_.theta)
             outcome = minimize_with_restarts(
-                _FitObjective(template, X_opt, y_opt, alpha_norm),
+                _FitObjective(self, X_opt, y_opt, alpha_norm),
                 theta0,
                 self._theta_bounds(),
                 n_restarts=self.n_restarts,
@@ -919,8 +1019,10 @@ class GaussianProcessRegressor:
         gradient is unchanged by ``alpha``: ``dK/d log sigma_n^2`` is still
         ``sigma_n^2 I``.
 
-        The model is only read (``theta`` is evaluated on a copy of the
-        kernel), so concurrent calls on one model are safe.
+        ``alpha`` is validated like :meth:`fit`'s.  The evaluation is the
+        fit's objective (:class:`_FitObjective`) built on these arguments, and
+        the model is only read (an unfitted one first instantiates its
+        template kernel), so concurrent calls on one model are safe.
         """
         if X is None or y is None:
             if self._afit is not None:
@@ -938,42 +1040,16 @@ class GaussianProcessRegressor:
                 # Stored targets are normalized; scale the stored
                 # original-unit variances to match.
                 alpha = self._fit.noise_alpha / self._fit.y_std**2
+            elif alpha is not None:
+                alpha = self._check_alpha(alpha, X.shape[0])
         else:
             X = as_2d_array(X)
             y = as_1d_array(y)
             check_consistent_rows(X, y)
-        if alpha is not None:
-            alpha = as_1d_array(alpha)
-            if alpha.shape[0] != X.shape[0]:
-                raise ValueError(
-                    f"alpha has {alpha.shape[0]} entries, expected {X.shape[0]}"
-                )
-        kernel, noise = self._at_theta(theta, X.shape[1])
-        if eval_gradient:
-            K, K_grad = kernel(X, eval_gradient=True)
-        else:
-            K = kernel(X)
-        add_noise_diagonal(K, noise, self.jitter, alpha)
-        try:
-            L = cholesky(K, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            tm.count("gp.lml.cholesky_failure")
-            if eval_gradient:
-                return -np.inf, np.zeros_like(self._theta())
-            return -np.inf
-        weights = cho_solve((L, True), y, check_finite=False)
-        lml = self._lml_from_cholesky(L, weights, y)
-        if not eval_gradient:
-            return lml
-        # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^{-1}) dK/dtheta_j)
-        K_inv = cho_solve((L, True), np.eye(K.shape[0]), check_finite=False)
-        inner = np.outer(weights, weights) - K_inv
-        grads = 0.5 * np.einsum("ij,ijk->k", inner, K_grad)
-        if not self._noise_free:
-            # dK/d(log sigma_n^2) = sigma_n^2 * I
-            noise_grad = 0.5 * noise * np.trace(inner)
-            grads = np.append(grads, noise_grad)
-        return lml, grads
+            if alpha is not None:
+                alpha = self._check_alpha(alpha, X.shape[0])
+        objective, hyper = self._objective_at(theta, X, y, alpha)
+        return objective.evaluate(*hyper, eval_gradient=eval_gradient)
 
     # --------------------------------------------------------------- prediction
 

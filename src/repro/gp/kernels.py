@@ -32,7 +32,13 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from .validate import as_2d_array, check_bounds
 
-__all__ = ["SquaredExponential", "Kernel", "kernel_to_dict", "kernel_from_dict"]
+__all__ = [
+    "SquaredExponential",
+    "Kernel",
+    "se_covariance",
+    "kernel_to_dict",
+    "kernel_from_dict",
+]
 
 
 class SquaredExponential:
@@ -131,15 +137,19 @@ class SquaredExponential:
 
     # --- evaluation -------------------------------------------------------------------
 
-    def _scaled(self, X, name: str = "X") -> np.ndarray:
-        """Validated inputs divided by the length scale(s)."""
+    def _checked(self, X, name: str = "X") -> np.ndarray:
+        """Validated inputs with as many features as an ARD length scale."""
         X = as_2d_array(X, name=name)
         if self.anisotropic and np.size(self.length_scale) != X.shape[1]:
             raise ValueError(
                 f"ARD length_scale has {np.size(self.length_scale)} entries but "
                 f"{name} has {X.shape[1]} features"
             )
-        return X / np.atleast_1d(self.length_scale)
+        return X
+
+    def _scaled(self, X, name: str = "X") -> np.ndarray:
+        """Validated inputs divided by the length scale(s)."""
+        return self._checked(X, name) / np.atleast_1d(self.length_scale)
 
     def __call__(self, X, Y=None, eval_gradient: bool = False):
         """Evaluate ``k(X, Y)``.
@@ -156,31 +166,17 @@ class SquaredExponential:
         """
         if eval_gradient and Y is not None:
             raise ValueError("gradient can only be evaluated when Y is None")
-        c = self.signal_variance
-        Xs = self._scaled(X)
         if Y is not None:
-            sq = cdist(Xs, self._scaled(Y, name="Y"), metric="sqeuclidean")
-            return c * np.exp(-0.5 * sq)
-        sq = squareform(pdist(Xs, metric="sqeuclidean"))
-        unit = np.exp(-0.5 * sq)
-        K = c * unit
-        if not eval_gradient:
-            return K
-        n = Xs.shape[0]
-        grad = np.empty((n, n, self.n_dims))
-        idx = 0
-        if self.signal_variance_bounds != "fixed":
-            grad[:, :, 0] = K  # dK/d(log sigma_f^2) = K
-            idx = 1
-        if self.length_scale_bounds != "fixed":
-            if not self.anisotropic:
-                # dK/d(log l) = K * |x - x'|^2 / l^2
-                grad[:, :, idx] = (unit * sq) * c
-            else:
-                # dK/d(log l_d) = K * (x_d - x'_d)^2 / l_d^2
-                diff = (Xs[:, np.newaxis, :] - Xs[np.newaxis, :, :]) ** 2
-                grad[:, :, idx:] = (unit[:, :, np.newaxis] * diff) * c
-        return K, grad
+            sq = cdist(self._scaled(X), self._scaled(Y, name="Y"), metric="sqeuclidean")
+            return self.signal_variance * np.exp(-0.5 * sq)
+        return se_covariance(
+            self._checked(X),
+            self.signal_variance,
+            self.length_scale,
+            eval_gradient=eval_gradient,
+            free_amplitude=self.signal_variance_bounds != "fixed",
+            free_length_scale=self.length_scale_bounds != "fixed",
+        )
 
     def diag(self, X) -> np.ndarray:
         """Diagonal of ``k(X, X)``: the amplitude ``sigma_f^2``."""
@@ -214,6 +210,49 @@ class SquaredExponential:
             ls = f"{self.length_scale:.3g}"
         sigma_f = math.sqrt(self.signal_variance)
         return f"SquaredExponential(sigma_f={sigma_f:.3g}, l={ls})"
+
+
+def se_covariance(
+    X: np.ndarray,
+    signal_variance: float,
+    length_scale,
+    *,
+    eval_gradient: bool = False,
+    free_amplitude: bool = True,
+    free_length_scale: bool = True,
+):
+    """``k(X, X)`` of Eq. (11) on validated inputs, and optionally its gradient.
+
+    The one copy of the formula: :meth:`SquaredExponential.__call__` and the
+    fit's marginal-likelihood objective (:mod:`repro.gp.gpr`) both evaluate
+    through it, the objective without building a kernel per call.  ``X`` must
+    already be a finite 2-D float array with one column per ARD length scale.
+    The gradient is taken with respect to the free entries of ``theta``
+    (``free_amplitude`` and ``free_length_scale`` say which are free), as a
+    C-contiguous array of shape ``(n, n, n_free)``.
+    """
+    c = signal_variance
+    Xs = X / np.atleast_1d(length_scale)
+    sq = squareform(pdist(Xs, metric="sqeuclidean"))
+    unit = np.exp(-0.5 * sq)
+    K = c * unit
+    if not eval_gradient:
+        return K
+    n, n_ls = Xs.shape[0], np.size(length_scale)
+    grad = np.empty((n, n, int(free_amplitude) + (n_ls if free_length_scale else 0)))
+    idx = 0
+    if free_amplitude:
+        grad[:, :, 0] = K  # dK/d(log sigma_f^2) = K
+        idx = 1
+    if free_length_scale:
+        if n_ls == 1:
+            # dK/d(log l) = K * |x - x'|^2 / l^2
+            grad[:, :, idx] = (unit * sq) * c
+        else:
+            # dK/d(log l_d) = K * (x_d - x'_d)^2 / l_d^2
+            diff = (Xs[:, np.newaxis, :] - Xs[np.newaxis, :, :]) ** 2
+            grad[:, :, idx:] = (unit[:, :, np.newaxis] * diff) * c
+    return K, grad
 
 
 #: The kernel type, under the name ``perfbench/workloads.py`` traces.

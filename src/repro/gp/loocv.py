@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky
 
 from .gpr import GaussianProcessRegressor, _LOG_2PI
+from .kernels import se_covariance
 from .optimize import OptimizeOutcome, minimize_with_restarts
 from .solvers import add_noise_diagonal
 from .validate import as_1d_array, as_2d_array, check_consistent_rows
@@ -134,8 +135,10 @@ def loo_pseudo_likelihood(
     X = as_2d_array(X)
     y = as_1d_array(y)
     check_consistent_rows(X, y)
-    kernel, noise = model._at_theta(theta, X.shape[1])
-    K = add_noise_diagonal(kernel(X), noise, model.jitter)
+    _, (signal_variance, length_scale, noise) = model._objective_at(theta, X, y)
+    K = add_noise_diagonal(
+        se_covariance(X, signal_variance, length_scale), noise, model.jitter
+    )
     try:
         return _loo_from_K(K, y).pseudo_log_likelihood
     except np.linalg.LinAlgError:

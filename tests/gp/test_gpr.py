@@ -137,6 +137,88 @@ def test_lml_evaluation_is_thread_safe(small_1d_problem):
     np.testing.assert_array_equal(model._theta(), theta0)
 
 
+def test_fit_objective_is_thread_safe_and_picklable(small_1d_problem):
+    """Restart threads and processes share one read-only objective.
+
+    Concurrent calls must each see the serial value, a pickled copy must
+    evaluate identically, and an in-place write to the per-fit arrays must
+    raise instead of corrupting every later call.
+    """
+    import pickle
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.gp.gpr import _FitObjective
+
+    X, y = small_1d_problem
+    alpha = np.linspace(0.0, 0.02, X.shape[0])
+    model = GaussianProcessRegressor(rng=0, n_restarts=1).fit(X, y, alpha=alpha)
+    objective = _FitObjective(model, X, y, alpha)
+    theta0 = model._theta()
+    rng = np.random.default_rng(12)
+    thetas = [theta0 + rng.normal(0.0, 0.5, theta0.size) for _ in range(64)]
+    serial = [objective(t) for t in thetas]
+
+    mismatches = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often to expose races
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(5):
+                results = pool.map(objective, thetas, timeout=120)
+                for (value, grad), (value_s, grad_s) in zip(results, serial):
+                    if value != value_s or not np.array_equal(grad, grad_s):
+                        mismatches += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == 0, f"{mismatches} of {5 * len(thetas)} calls differed"
+
+    copy = pickle.loads(pickle.dumps(objective))
+    for theta, (value_s, grad_s) in zip(thetas, serial):
+        value, grad = copy(theta)
+        assert value == value_s and np.array_equal(grad, grad_s)
+
+    for obj in (objective, copy):
+        for name in ("X", "y", "alpha", "identity"):
+            array = getattr(obj, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+    # The fit's own arrays keep their flags: the workspace holds views.
+    assert X.flags.writeable and alpha.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "alpha, match",
+    [
+        (np.full(30, -0.005), ">= 0"),
+        (np.append(np.zeros(29), np.nan), "non-finite"),
+        (np.zeros(29), "expected 30"),
+    ],
+)
+@pytest.mark.parametrize("stored", [False, True])
+def test_lml_validates_alpha_like_fit(small_1d_problem, alpha, match, stored):
+    """A negative, non-finite or misshapen ``alpha`` raises, as in ``fit``.
+
+    A negative noise variance used to reach the Cholesky and come back as
+    ``-inf``, or as a finite likelihood of an invalid model.
+    """
+    model, X, y = _fitted(small_1d_problem)
+    data = {} if stored else dict(X=X, y=y)
+    with pytest.raises(ValueError, match=match):
+        model.log_marginal_likelihood(model._theta(), alpha=alpha, **data)
+    with pytest.raises(ValueError, match=match):
+        model.fit(X, y, alpha=alpha)
+
+
+def test_lml_rejects_alpha_with_fixed_noise(small_1d_problem):
+    X, y = small_1d_problem
+    model = GaussianProcessRegressor(noise_variance_bounds="fixed", optimizer=None)
+    model.fit(X, y)
+    with pytest.raises(ValueError, match="conflicts"):
+        model.log_marginal_likelihood(X=X, y=y, alpha=np.full(X.shape[0], 0.01))
+
+
 def _hostile_model(duplicates, y_scale, with_alpha, seed=5):
     """A fitted ``normalize_y`` model on a numerically awkward problem."""
     rng = np.random.default_rng(seed)
