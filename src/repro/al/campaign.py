@@ -796,7 +796,8 @@ class OnlineCampaign:
                     except AllNodesOpenError as exc:
                         self._stop_cluster_unavailable(state, exc)
                         break
-                    sd_total = np.sqrt(sd**2 + model.noise_variance_)
+                    # ``sd`` is the observation SD: it already carries the
+                    # noise term, in the units of y.
                     for slot in sorted(outcome.accepted):
                         y_obs = outcome.accepted[slot]
                         state.measured_X.append(cand_X[picks[slot]])
@@ -804,7 +805,7 @@ class OnlineCampaign:
                         if self._drift is not None:
                             drift_z.append(
                                 (y_obs - float(mu[slot]))
-                                / max(float(sd_total[slot]), 1e-12)
+                                / max(float(sd[slot]), 1e-12)
                             )
                     n_ok = len(outcome.accepted)
                     max_sd = float(sd.max())

@@ -437,10 +437,13 @@ class ActiveLearner:
             model = self._advance(iteration)
             metrics = evaluate_model(model, self.pool.X, self._X_test, self._y_test)
 
-            idx = self.strategy.select(model, self.pool)
-            # Strategies that score with pool SDs expose the SD at the chosen
-            # record; only strategies that don't (random, EMCM) cost an extra
-            # single-point prediction here.
+            # Strategies that score by the SD select from the Active-set
+            # pass the metrics were computed from and expose the SD at the
+            # chosen record; only strategies that don't (random, EMCM) cost
+            # an extra single-point prediction here.
+            idx = self.strategy.select(
+                model, self.pool, pool_sd=metrics["sd_active"]
+            )
             sd_sel = self.strategy.last_selected_sd
             if sd_sel is None:
                 x_sel = self.pool.X[idx]

@@ -83,7 +83,13 @@ def evaluate_model(
     X_test: np.ndarray,
     y_test: np.ndarray,
 ) -> dict:
-    """All paper metrics at once (single prediction pass per set)."""
+    """All paper metrics at once (single prediction pass per set).
+
+    Besides the four metrics the dict holds ``"sd_active"``, the predictive
+    SD at every row of ``X_active``: the learner hands it to
+    :meth:`repro.al.strategies.Strategy.select` so that Variance Reduction
+    selects from this pass instead of predicting the pool again.
+    """
     mu_t, sd_t = model.predict(X_test, return_std=True)
     _, sd_a = model.predict(X_active, return_std=True)
     y = np.asarray(y_test, dtype=float)
@@ -92,4 +98,5 @@ def evaluate_model(
         "amsd": _amsd_from(sd_a),
         "gmsd": _gmsd_from(sd_a),
         "nlpd": _nlpd_from(mu_t, sd_t, y),
+        "sd_active": sd_a,
     }

@@ -57,6 +57,12 @@ class Strategy:
     After :meth:`select`, :attr:`last_selected_sd` holds the predictive SD
     at the chosen record when the strategy already computed pool SDs for its
     scores (``None`` otherwise), so callers need not re-predict it.
+
+    ``select(model, pool, pool_sd=...)`` hands over the predictive SD at
+    every pool record when the caller already has it (the learner's
+    Active-set pass, from which AMSD is computed); strategies that score by
+    the model's SD slice it at the available records instead of predicting
+    them again (:meth:`_available_sd`).
     """
 
     #: human-readable name used in experiment outputs
@@ -65,10 +71,30 @@ class Strategy:
     last_selected_sd: float | None = None
 
     def scores(
-        self, model: GaussianProcessRegressor, pool: CandidatePool
+        self,
+        model: GaussianProcessRegressor,
+        pool: CandidatePool,
+        pool_sd: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Score each *available* pool record (shape ``(n_available,)``)."""
+        """Score each *available* pool record (shape ``(n_available,)``).
+
+        ``pool_sd`` is the pass :meth:`select` was given, or ``None``.
+        """
         raise NotImplementedError
+
+    @staticmethod
+    def _available_sd(model, pool: CandidatePool, pool_sd) -> np.ndarray:
+        """Predictive SD at the available records, sliced from ``pool_sd``.
+
+        Without a pass, or with a single available record, the records are
+        predicted here: the SD of a one-row prediction is not a bitwise
+        slice of a larger pass (a one-column triangular solve takes another
+        BLAS path), while every subset of two or more rows is.
+        """
+        avail = pool.available_indices()
+        if pool_sd is None or avail.size < 2:
+            return model.predict(pool.available_X(), return_std=True)[1]
+        return pool_sd[avail]
 
     def _tie_rng(self) -> np.random.Generator:
         if getattr(self, "_tie_rng_", None) is None:
@@ -102,13 +128,26 @@ class Strategy:
         return clone
 
     def select(
-        self, model: GaussianProcessRegressor, pool: CandidatePool
+        self,
+        model: GaussianProcessRegressor,
+        pool: CandidatePool,
+        *,
+        pool_sd: np.ndarray | None = None,
     ) -> int:
-        """Pool-local index of the chosen record."""
+        """Pool-local index of the chosen record.
+
+        ``pool_sd`` is the predictive SD of ``model`` at every pool record
+        (``pool.X``, consumed ones included), if the caller predicted it.
+        """
         if pool.exhausted:
             raise ValueError("candidate pool is exhausted")
+        if pool_sd is not None and np.shape(pool_sd) != (pool.n_total,):
+            raise ValueError(
+                f"pool_sd shape {np.shape(pool_sd)} does not match "
+                f"{pool.n_total} pool records"
+            )
         self._last_sd: np.ndarray | None = None
-        scores = np.asarray(self.scores(model, pool), dtype=float)
+        scores = np.asarray(self.scores(model, pool, pool_sd), dtype=float)
         avail = pool.available_indices()
         if scores.shape != (avail.size,):
             raise ValueError(
@@ -134,9 +173,9 @@ class VarianceReduction(Strategy):
     seed: int = 0
     name: str = "variance-reduction"
 
-    def scores(self, model, pool):
+    def scores(self, model, pool, pool_sd=None):
         """Predictive SD at every available record."""
-        _, sd = model.predict(pool.available_X(), return_std=True)
+        sd = self._available_sd(model, pool, pool_sd)
         self._last_sd = sd
         return sd
 
@@ -156,8 +195,12 @@ class CostEfficiency(Strategy):
     seed: int = 0
     name: str = "cost-efficiency"
 
-    def scores(self, model, pool):
-        """Eq. 14 score ``sigma - cost_weight * mu`` per available record."""
+    def scores(self, model, pool, pool_sd=None):
+        """Eq. 14 score ``sigma - cost_weight * mu`` per available record.
+
+        Always predicts on its own: the mean of a subset may differ from a
+        slice of a larger pass in its last bits.
+        """
         mu, sd = model.predict(pool.available_X(), return_std=True)
         self._last_sd = sd
         return sd - self.cost_weight * mu
@@ -220,7 +263,7 @@ class CostModelEfficiency(Strategy):
         log_costs = np.log10(np.maximum(costs, self._COST_FLOOR))
         self.cost_model.fit(X, log_costs)
 
-    def scores(self, model, pool):
+    def scores(self, model, pool, pool_sd=None):
         """``sigma_response - cost_weight * mu_cost`` per available record."""
         if self.cost_model is None or not self.cost_model.fitted:
             raise ValueError(
@@ -232,9 +275,8 @@ class CostModelEfficiency(Strategy):
                     else ""
                 )
             )
-        X = pool.available_X()
-        _, sd = model.predict(X, return_std=True)
-        mu_cost = self.cost_model.predict(X)
+        sd = self._available_sd(model, pool, pool_sd)
+        mu_cost = self.cost_model.predict(pool.available_X())
         self._last_sd = sd
         return sd - self.cost_weight * mu_cost
 
@@ -249,7 +291,7 @@ class RandomSampling(Strategy):
     def __post_init__(self):
         self._rng = np.random.default_rng(self.seed)
 
-    def scores(self, model, pool):
+    def scores(self, model, pool, pool_sd=None):
         """Uniform random scores (argmax = uniform draw)."""
         # Random scores -> argmax is a uniform draw.
         return self._rng.random(pool.n_available)
@@ -323,7 +365,7 @@ class EMCM(Strategy):
                     member.update(x_row[np.newaxis, :], y_val)
         self._seen_n = model.X_train_.shape[0]
 
-    def scores(self, model, pool):
+    def scores(self, model, pool, pool_sd=None):
         """Mean |f(x) - f_k(x)| over the bootstrap ensemble."""
         if not model.fitted:
             raise ValueError("EMCM requires a fitted primary model")

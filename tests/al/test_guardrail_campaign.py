@@ -9,6 +9,7 @@ from repro.al.guardrails import DriftConfig, GuardrailConfig, HealthConfig
 from repro.cluster import BreakerConfig, NodeCircuitBreaker
 from repro.cluster.faults import FaultConfig, FaultyExecutor
 from repro.datasets.generate import ModelExecutor
+from repro.gp.gpr import GaussianProcessRegressor
 
 from .test_checkpoint_compat import _Killed, _write_kill
 
@@ -74,6 +75,48 @@ def test_drift_fault_triggers_detector_and_trim():
     assert t.n_drift_events >= 1
     assert t.n_trimmed_points >= 1
     assert result.model.fitted
+
+
+@pytest.mark.parametrize("normalize_y", [False, True])
+def test_drift_residuals_are_standardized_by_the_predictive_sd(
+    monkeypatch, normalize_y
+):
+    """The detector sees ``(y - mu) / sd`` with ``mu, sd = predict(x)``.
+
+    ``predict`` returns the observation SD, which already includes the
+    noise variance (in the units of y); adding the noise variance again
+    shrank every residual, and under ``normalize_y`` added it in
+    normalized units.
+    """
+    expected, received = [], []
+    submit = OnlineCampaign._submit
+
+    def recording_submit(self, rows, *, model=None, clock0=0.0):
+        outcome = submit(self, rows, model=model, clock0=clock0)
+        if model is not None:
+            mu, sd = model.predict(campaign_module._features(rows), return_std=True)
+            expected.append(
+                [(outcome.accepted[s] - mu[s]) / sd[s] for s in sorted(outcome.accepted)]
+            )
+        return outcome
+
+    def recording_update_many(self, values):
+        received.append(list(values))
+        return False
+
+    monkeypatch.setattr(OnlineCampaign, "_submit", recording_submit)
+    monkeypatch.setattr(
+        campaign_module.DriftDetector, "update_many", recording_update_many
+    )
+    factory = lambda: GaussianProcessRegressor(  # noqa: E731
+        noise_variance_bounds=(1e-2, 1e3), normalize_y=normalize_y, n_restarts=1, rng=0
+    )
+    OnlineCampaign(
+        _config(batch_size=3, n_rounds=4), ModelExecutor(), rng=2,
+        model_factory=factory, guardrails=True,
+    ).run()
+    assert len(received) == 4  # one batch a round
+    assert received == [e for e in expected if e]
 
 
 def test_breaker_opens_on_crashy_node_and_campaign_completes():

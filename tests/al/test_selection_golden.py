@@ -1,0 +1,105 @@
+"""Golden digests pinning Variance Reduction's selections bit for bit.
+
+Variance Reduction scores the available records by slicing the learner's
+Active-set SD pass (the one AMSD and GMSD are computed from) rather than
+predicting them again.  A SHA-256 over each run's selected records and its
+per-iteration metrics is compared against values taken while the strategy
+still ran its own prediction pass, on the paths the learner has: a full
+refit every iteration, ``fast_refits``, ``fuse_repeats``, and a run that
+drains its pool, so its last iteration selects from one available record
+(the case in which the strategy predicts on its own).  Regenerate the
+digests only for a deliberate change of selection behaviour, and say so in
+the change log.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from repro.al import (
+    ActiveLearner,
+    VarianceReduction,
+    default_model_factory,
+    random_partition,
+)
+from repro.gp.gpr import GaussianProcessRegressor
+
+#: The series one digest covers, in order.
+SERIES = ("selected_pool_index", "sd_at_selected", "amsd", "gmsd", "rmse", "nlpd")
+
+
+def _dataset(n_configs: int, repeats: int, seed: int):
+    """Noisy 2-D responses with ``repeats`` records per configuration."""
+    rng = np.random.default_rng(seed)
+    X = np.repeat(rng.uniform(0.0, 4.0, size=(n_configs, 2)), repeats, axis=0)
+    y = np.sin(X[:, 0]) + 0.5 * X[:, 1] + 0.1 * rng.standard_normal(X.shape[0])
+    return X, y, np.exp(y) + 1.0
+
+
+def _learner(n_configs: int, repeats: int, **kw) -> ActiveLearner:
+    X, y, costs = _dataset(n_configs, repeats, seed=11)
+    return ActiveLearner(
+        X, y, costs, random_partition(X.shape[0], rng=5), VarianceReduction(seed=3),
+        model_factory=default_model_factory(noise_floor=1e-2),
+        **kw,
+    )
+
+
+CASES = {
+    "refit": (dict(n_configs=16, repeats=3), {}, 12),
+    "fast": (dict(n_configs=16, repeats=3), dict(fast_refits=True, refit_every=4), 16),
+    "fused": (dict(n_configs=16, repeats=3), dict(fuse_repeats=True), 8),
+    # 12 records: 1 initial, 2 test, 9 in the pool, run until it is empty.
+    "exhaust": (dict(n_configs=12, repeats=1), {}, None),
+}
+
+GOLDEN = {
+    "refit": "a3eb9a1bf64c7e10c1f5471a276e94e3b24dab039df2317c12a0d07863239382",
+    "fast": "26ad39a8566858e3e041370f4dcbe5e0ae3855ed6b7e88980a9825bacd5843e5",
+    "fused": "2bb4b4a254ec53961753c3c50fad18f38c057865ccb411ccdaef3af7e87c189e",
+    "exhaust": "4708730a93ec2ec552393730368a9310906ac546fbd69d4742bf65208b3273f3",
+}
+
+
+def _digest(learner: ActiveLearner) -> str:
+    trace = learner.trace
+    payload = {
+        name: [repr(float(v)) for v in trace.series(name)] for name in SERIES
+    }
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_selection_golden(name):
+    data, kw, n_iterations = CASES[name]
+    learner = _learner(**data, **kw)
+    learner.run(n_iterations)
+    if name == "exhaust":
+        assert learner.pool.exhausted and len(learner.trace) == learner.pool.n_total
+    assert _digest(learner) == GOLDEN[name]
+
+
+def test_vr_round_predicts_test_and_active_sets_once(monkeypatch):
+    """One VR round predicts twice: the Test set and the Active set.
+
+    The strategy selects from the Active-set pass instead of a third
+    prediction over the available records, and the SD at the pick comes
+    from the same pass.
+    """
+    learner = _learner(n_configs=16, repeats=3)
+    learner.step()  # the seed fit
+    calls = []
+    predict = GaussianProcessRegressor.predict
+
+    def counted(self, X, **kw):
+        calls.append(np.shape(X)[0])
+        return predict(self, X, **kw)
+
+    monkeypatch.setattr(GaussianProcessRegressor, "predict", counted)
+    learner.step()
+    assert sorted(calls) == sorted([learner._X_test.shape[0], learner.pool.n_total])

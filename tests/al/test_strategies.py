@@ -242,6 +242,56 @@ def test_select_exposes_sd_at_selected(fitted_model, pool):
     assert rnd.last_selected_sd is None
 
 
+def _cost_model_strategy(pool):
+    from repro.al import CostModelEfficiency
+
+    cost_gp = GaussianProcessRegressor(
+        kernel=SquaredExponential(
+            1.0, 2.0, signal_variance_bounds="fixed", length_scale_bounds="fixed"
+        ),
+        noise_variance=1e-4, noise_variance_bounds="fixed", optimizer=None,
+    ).fit(pool.X, 0.5 * pool.X[:, 0])
+    return CostModelEfficiency(cost_model=cost_gp, cost_weight=0.5)
+
+
+@pytest.mark.parametrize("make", [lambda pool: VarianceReduction(), _cost_model_strategy])
+def test_select_from_the_pool_pass_matches_predicting(fitted_model, pool, make):
+    """Selecting from a full-pool SD pass gives the pick, the scores and
+    the SD at the pick of the strategy's own prediction, bit for bit."""
+    for i in (0, 3, 20):
+        pool.consume(i)
+    _, pool_sd = fitted_model.predict(pool.X, return_std=True)
+    own, sliced = make(pool), make(pool)
+    assert own.select(fitted_model, pool) == sliced.select(
+        fitted_model, pool, pool_sd=pool_sd
+    )
+    assert np.array_equal(own._last_sd, sliced._last_sd)
+    assert own.last_selected_sd == sliced.last_selected_sd
+    # The pass, not a prediction, decides: an SD rising with the index
+    # picks the last available record.
+    ramp = np.arange(pool.n_total, dtype=float)
+    assert make(pool).select(fitted_model, pool, pool_sd=ramp) == 19
+
+
+def test_single_available_record_is_predicted_not_sliced(fitted_model, pool):
+    """A one-row SD is not a bitwise slice of a larger pass, so the
+    strategy predicts the last available record itself."""
+    for i in range(pool.n_total - 1):
+        pool.consume(i)
+    poisoned = np.full(pool.n_total, np.nan)
+    strat = VarianceReduction()
+    assert strat.select(fitted_model, pool, pool_sd=poisoned) == pool.n_total - 1
+    _, sd = fitted_model.predict(pool.available_X(), return_std=True)
+    assert strat.last_selected_sd == float(sd[0])
+
+
+def test_select_rejects_a_pool_pass_of_the_wrong_shape(fitted_model, pool):
+    with pytest.raises(ValueError, match="pool_sd"):
+        VarianceReduction().select(
+            fitted_model, pool, pool_sd=np.ones(pool.n_available - 1)
+        )
+
+
 def test_strategy_names():
     from repro.al import CostModelEfficiency
 
