@@ -6,6 +6,8 @@ implementation: fit cost grows with the O(n^3) Cholesky + O(n^2 d) kernel,
 prediction with O(n m).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,26 @@ def test_predict_with_std(benchmark, n):
     Xq = _data(500, seed=1)[0]
     mean, sd = benchmark(model.predict, Xq, return_std=True)
     assert mean.shape == (500,)
+    assert np.all(sd > 0)
+
+
+@pytest.mark.parametrize("n", [10, 30, 50])
+def test_predict_std_large(benchmark, n):
+    """One SD pass over 40,000 candidates, the size of ``big_pool``'s Active set.
+
+    The traced (``tracemalloc``) peak of one call is recorded in the
+    benchmark's ``extra_info``; the table in ``benchmarks/README.md`` comes
+    from this case.
+    """
+    X, y = _data(n, d=3)
+    model = GaussianProcessRegressor(rng=0, n_restarts=0).fit(X, y)
+    Xq = _data(40_000, d=3, seed=1)[0]
+    tracemalloc.start()
+    model.predict(Xq, return_std=True)
+    benchmark.extra_info["traced_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
+    mean, sd = benchmark(model.predict, Xq, return_std=True)
+    assert mean.shape == (40_000,)
     assert np.all(sd > 0)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .validate import as_2d_array, check_bounds
 
@@ -36,6 +36,7 @@ __all__ = [
     "SquaredExponential",
     "Kernel",
     "se_covariance",
+    "se_cross_covariance",
     "kernel_to_dict",
     "kernel_from_dict",
 ]
@@ -167,8 +168,9 @@ class SquaredExponential:
         if eval_gradient and Y is not None:
             raise ValueError("gradient can only be evaluated when Y is None")
         if Y is not None:
-            sq = cdist(self._scaled(X), self._scaled(Y, name="Y"), metric="sqeuclidean")
-            return self.signal_variance * np.exp(-0.5 * sq)
+            return se_cross_covariance(
+                self._scaled(X), self._scaled(Y, name="Y"), self.signal_variance
+            )
         return se_covariance(
             self._checked(X),
             self.signal_variance,
@@ -233,7 +235,12 @@ def se_covariance(
     """
     c = signal_variance
     Xs = X / np.atleast_1d(length_scale)
-    sq = squareform(pdist(Xs, metric="sqeuclidean"))
+    # The squared distances summed dimension by dimension, in pdist's order:
+    # bit for bit what ``squareform(pdist(Xs, "sqeuclidean"))`` gives, without
+    # the cost of scipy's wrapper at the small n of an AL fit.
+    sq = (Xs[:, np.newaxis, 0] - Xs[np.newaxis, :, 0]) ** 2
+    for k in range(1, Xs.shape[1]):
+        sq += (Xs[:, np.newaxis, k] - Xs[np.newaxis, :, k]) ** 2
     unit = np.exp(-0.5 * sq)
     K = c * unit
     if not eval_gradient:
@@ -253,6 +260,22 @@ def se_covariance(
             diff = (Xs[:, np.newaxis, :] - Xs[np.newaxis, :, :]) ** 2
             grad[:, :, idx:] = (unit[:, :, np.newaxis] * diff) * c
     return K, grad
+
+
+def se_cross_covariance(Xs: np.ndarray, Ys: np.ndarray, signal_variance: float):
+    """``k(X, Y)`` of Eq. (11) on inputs already divided by the length scale.
+
+    Built in one ``(len(Xs), len(Ys))`` array, each step in place; every
+    float is that of ``signal_variance * exp(-0.5 * sqeuclidean)``.
+    :meth:`SquaredExponential.__call__` and the exact predictive pass
+    (:func:`repro.gp.solvers.predict_exact`, which scales its inputs once
+    and builds the cross-covariance block by block) share it.
+    """
+    K = cdist(Xs, Ys, metric="sqeuclidean")
+    K *= -0.5
+    np.exp(K, out=K)
+    K *= signal_variance
+    return K
 
 
 #: The kernel type, under the name ``perfbench/workloads.py`` traces.

@@ -44,6 +44,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
+from .kernels import se_cross_covariance
+
 __all__ = [
     "SolverConfig",
     "ApproxFitState",
@@ -52,6 +54,7 @@ __all__ = [
     "AUTO_EXACT_MAX",
     "PER_POINT_NOISE_BACKENDS",
     "supports_per_point_noise",
+    "row_blocks",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -271,21 +274,59 @@ def exact_posterior(kernel, noise_variance, jitter, X, y_norm, alpha=None):
     return L, cho_solve((L, True), y_norm, check_finite=False)
 
 
+#: Query rows per block of the exact predictive pass; bounds its transient
+#: ``(rows, n)`` cross-covariance.
+_PREDICT_ROWS = 2048
+
+
+def row_blocks(q: int, rows: int = _PREDICT_ROWS):
+    """``(start, stop)`` of each block of at most ``rows`` of ``q`` query rows.
+
+    A one-row tail joins the block before it: ``solve_triangular`` with one
+    right-hand side takes another BLAS path, whose SD is not bitwise that
+    of the same row solved among others.
+    """
+    stops = list(range(rows, q, rows)) + [q]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        del stops[-2]
+    return zip([0] + stops[:-1], stops)
+
+
 def predict_exact(kernel, X, L, weights, Xq, want=None):
     """Exact latent predictive mean (and variance/covariance), normalized units.
 
     ``want`` follows :func:`predict_backend`; the caller applies the same
     clamping, noise term and un-normalization to every backend.
+
+    The mean and variance are computed in blocks of ``_PREDICT_ROWS`` query
+    rows, so the pass holds one ``(rows, n)`` cross-covariance at a time,
+    built and solved in place: its transient memory does not grow with the
+    number of queries.  Each block does the floats of the one-shot pass in
+    the same order.  The variance is bitwise the one-shot variance under
+    any BLAS threading.  The mean is too under single-threaded BLAS; with
+    several BLAS threads a block's matrix-vector product can differ in the
+    last bit, as the one-shot product already does between thread counts.
+    ``want="cov"`` builds the full ``(q, q)`` covariance in one shot.
     """
-    K_star = kernel(Xq, X)  # (q, n)
-    mean = K_star @ weights
-    if want is None:
-        return mean, None
-    # v = L^{-1} k_*
-    v = solve_triangular(L, K_star.T, lower=True, check_finite=False)
     if want == "cov":
-        return mean, kernel(Xq) - v.T @ v
-    return mean, kernel.diag(Xq) - np.sum(v**2, axis=0)
+        K_star = kernel(Xq, X)  # (q, n)
+        # v = L^{-1} k_*
+        v = solve_triangular(L, K_star.T, lower=True, check_finite=False)
+        return K_star @ weights, kernel(Xq) - v.T @ v
+    Xqs, Xs = kernel._scaled(Xq), kernel._scaled(X, name="Y")
+    mean = np.empty(Xqs.shape[0])
+    var = None if want is None else kernel.diag(Xq)
+    for a, b in row_blocks(Xqs.shape[0]):
+        K_star = se_cross_covariance(Xqs[a:b], Xs, kernel.signal_variance)
+        np.matmul(K_star, weights, out=mean[a:b])
+        if var is not None:
+            # v = L^{-1} k_*, solved into the block's own storage
+            v = solve_triangular(
+                L, K_star.T, lower=True, overwrite_b=True, check_finite=False
+            )
+            v *= v
+            var[a:b] -= np.sum(v, axis=0)
+    return mean, var
 
 
 # -------------------------------------------------------------- Nystrom

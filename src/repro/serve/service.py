@@ -58,6 +58,7 @@ import numpy as np
 
 from .. import telemetry as tm
 from ..gp.gpr import GaussianProcessRegressor
+from ..gp.solvers import row_blocks
 from ..gp.validate import as_2d_array
 from .registry import ModelRegistry, ModelVersion, RegistryError
 
@@ -87,15 +88,20 @@ class PredictionService:
         Pin a specific version instead of tracking ``latest``; a pinned
         service never rolls over.
     chunk_size:
-        Query rows predicted per vectorized block.  Bounds the transient
-        ``(chunk, n_train)`` cross-covariance memory while keeping each
-        block a single BLAS call.  Each query row's prediction depends
-        only on its own row of ``K_*``, so chunking is exact *as long as
-        BLAS picks the same matvec kernel for the chunked and unchunked
-        shapes* — true for the default (2048) and anything near it, and
-        pinned by the acceptance tests; pathologically tiny chunks
-        (single digits) can differ from the full-block result in the
-        last ulp.
+        Query rows per call of the model's ``predict``, and so how often
+        the deadline is checked.  Memory does not depend on it: the exact
+        ``predict`` itself works in blocks of 2,048 query rows, so its
+        transient ``(rows, n_train)`` cross-covariance stays bounded
+        whatever the chunk.  The chunks follow the model's own block rule
+        (:func:`~repro.gp.solvers.row_blocks`: a one-row tail joins the
+        chunk before it), so at the default, 2048, they are exactly the
+        blocks an exact model's ``predict`` uses, and the answers are
+        bitwise the in-memory model's for any number of rows.  Each query row's
+        prediction depends only on its own row of ``K_*``, so other chunk
+        sizes are exact *as long as BLAS picks the same matvec kernel for
+        the chunked and unchunked shapes* — true for sizes near the
+        default; pathologically tiny chunks (single digits) can differ
+        from the full-block result in the last ulp.
     auto_refresh:
         Check the manifest for a newer published version before every
         query (hot rollover without an external trigger).  A refresh
@@ -346,8 +352,8 @@ class PredictionService:
             self._admit_cond.notify()
 
     def _chunks(self, X: np.ndarray):
-        for start in range(0, X.shape[0], self.chunk_size):
-            yield X[start : start + self.chunk_size]
+        for start, stop in row_blocks(X.shape[0], self.chunk_size):
+            yield X[start:stop]
 
     def predict(self, X, *, deadline_s: float | None = None) -> np.ndarray:
         """Posterior mean at the query rows, chunk by chunk."""

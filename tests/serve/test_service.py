@@ -31,6 +31,22 @@ def test_chunked_predictions_bit_identical(registry, fitted_models, query_block)
     assert np.array_equal(sd_s, sd)
 
 
+@pytest.mark.parametrize("rows", [2049, 4097])
+def test_one_row_tail_joins_the_chunk_before(registry, fitted_models, rows):
+    """A query one row past a chunk edge is still the model's answer bitwise.
+
+    A lone last chunk of one row would take another BLAS path, whose SD
+    and mean differ from the model's in the last bits.
+    """
+    service = PredictionService(registry, chunk_size=2048)
+    Q = np.random.default_rng(rows).uniform(size=(rows, 3))
+    mu, sd = fitted_models[0].predict(Q, return_std=True)
+    mu_s, sd_s = service.predict_std(Q)
+    assert np.array_equal(mu_s, mu)
+    assert np.array_equal(sd_s, sd)
+    assert np.array_equal(service.predict(Q), mu)
+
+
 def test_include_noise_passthrough(registry, fitted_models):
     service = PredictionService(registry)
     Q = np.random.default_rng(3).uniform(size=(32, 3))
