@@ -56,7 +56,6 @@ from .resilience import (
     QuarantinePolicy,
     RetryPolicy,
     ShardBreaker,
-    ShardBreakerConfig,
 )
 from .sharding import (
     AcquisitionRouter,
@@ -106,7 +105,6 @@ __all__ = [
     "QuarantineDecision",
     "FailureAccounting",
     "ShardBreaker",
-    "ShardBreakerConfig",
     "InputPartitioner",
     "ShardingConfig",
     "ShardedModel",

@@ -200,6 +200,7 @@ def _run_sharded(args) -> int:
     """
     from ..cluster.faults import ShardFaultConfig
     from ..parallel.pmap import ParallelMap
+    from .learner import default_model_factory
     from .partition import random_partition
     from .sharding import ShardedLearner, ShardingConfig, mixed_operator_pool
     from .strategies import CostEfficiency
@@ -224,6 +225,7 @@ def _run_sharded(args) -> int:
             seed=args.seed,
         ),
         strategy=CostEfficiency(),
+        model_factory=default_model_factory(solver=args.solver),
         pmap=ParallelMap(
             args.backend,
             args.workers,
@@ -406,7 +408,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--solver", choices=("exact", "nystrom", "auto"),
         default="exact",
-        help="GP solver backend for campaign refits (auto switches to an "
+        help="GP solver backend for campaign refits and, with --shards, "
+        "every shard fit (auto switches to an "
         "approximate backend once the training set outgrows the exact "
         "crossover; see docs/API.md)",
     )

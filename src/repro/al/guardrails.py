@@ -650,11 +650,13 @@ class FitGate:
     the current training set, and the level rises, so :meth:`remediate`
     escalates the next fresh model via :func:`apply_remediation`.
 
-    ``health=None`` accepts every fit unchecked.  ``escalation=None`` never
-    force-accepts and never remediates (the shard gates: their fits run
-    inside workers from a fixed factory).  ``tallies`` may be shared by
-    several gates; ``rollback_telemetry`` names the counter and the event
-    emitted per rollback.
+    ``health=None`` accepts every fit unchecked and keeps no snapshot, since
+    :meth:`admit` never rolls back; a caller that restores such a gate
+    directly (the shard supervisor) remembers its fits in :attr:`lkg`
+    itself.  ``escalation=None`` never force-accepts and never remediates
+    (the shard gates: their fits run inside workers from a fixed factory).
+    ``tallies`` may be shared by several gates; ``rollback_telemetry``
+    names the counter and the event emitted per rollback.
     """
 
     def __init__(
@@ -724,9 +726,10 @@ class FitGate:
                         remediation_level=self.level,
                     )
                     return restored
-        self.lkg.remember(model)
-        if report is not None and report.n_train >= self.health.config.min_points:
-            self.prev_lml_per_point = report.lml_per_point
+        if report is not None:
+            self.lkg.remember(model)
+            if report.n_train >= self.health.config.min_points:
+                self.prev_lml_per_point = report.lml_per_point
         self.level = 0
         return model
 

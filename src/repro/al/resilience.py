@@ -35,7 +35,6 @@ __all__ = [
     "QuarantineDecision",
     "QuarantinePolicy",
     "FailureAccounting",
-    "ShardBreakerConfig",
     "ShardBreaker",
 ]
 
@@ -249,51 +248,31 @@ class FailureAccounting:
 # state machine replays identically under checkpoint resume.
 
 
-@dataclass(frozen=True)
-class ShardBreakerConfig:
-    """Round-indexed circuit-breaker thresholds for :class:`ShardBreaker`.
-
-    Attributes
-    ----------
-    open_after:
-        Consecutive failed rounds (every retry exhausted) before the shard
-        opens.
-    cooldown_rounds:
-        Rounds an open shard sits out before a half-open probe fit.
-    blacklist_after:
-        Times a shard may open before it is declared dead for the rest of
-        the campaign.
-    """
-
-    open_after: int = 2
-    cooldown_rounds: int = 2
-    blacklist_after: int = 3
-
-    def __post_init__(self):
-        if self.open_after < 1:
-            raise ValueError("open_after must be >= 1")
-        if self.cooldown_rounds < 1:
-            raise ValueError("cooldown_rounds must be >= 1")
-        if self.blacklist_after < 1:
-            raise ValueError("blacklist_after must be >= 1")
+#: Consecutive failed rounds (every retry exhausted) before a shard opens.
+_OPEN_AFTER = 2
+#: Rounds an open shard sits out before a half-open probe fit.
+_COOLDOWN_ROUNDS = 2
+#: Times a shard may open before it is declared dead for the campaign.
+_BLACKLIST_AFTER = 3
 
 
 class ShardBreaker:
     """Per-shard circuit breaker over AL rounds.
 
-    States per shard: ``closed`` (fits normally) -> ``open`` (excluded
-    from fitting and routing for ``cooldown_rounds``) -> ``half_open``
-    (one probe fit allowed) -> back to ``closed`` on success, or re-open /
-    ``dead`` on failure.  Everything is indexed by the campaign's round
-    counter, so the breaker serializes to a small dict and resumes
-    bit-identically (:meth:`as_dict` / :meth:`from_dict`).
+    States per shard: ``closed`` (fits normally) -> ``open`` after
+    :data:`_OPEN_AFTER` consecutive failed rounds (excluded from fitting
+    and routing for :data:`_COOLDOWN_ROUNDS`) -> ``half_open`` (one probe
+    fit allowed) -> back to ``closed`` on success, or re-open on failure;
+    the :data:`_BLACKLIST_AFTER`-th opening makes it ``dead``.  Everything
+    is indexed by the campaign's round counter, so the breaker serializes
+    to a small dict and resumes bit-identically (:meth:`as_dict` /
+    :meth:`from_dict`).
     """
 
-    def __init__(self, n_shards: int, config: ShardBreakerConfig | None = None):
+    def __init__(self, n_shards: int):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.n_shards = int(n_shards)
-        self.config = config or ShardBreakerConfig()
         self._consecutive = [0] * self.n_shards
         self._open_until = [-1] * self.n_shards  # -1 = not open
         self._opens = [0] * self.n_shards
@@ -350,21 +329,21 @@ class ShardBreaker:
             self._open(shard, round_index)
             return
         self._consecutive[shard] += 1
-        if self._consecutive[shard] >= self.config.open_after:
+        if self._consecutive[shard] >= _OPEN_AFTER:
             self._open(shard, round_index)
 
     def _open(self, shard: int, round_index: int) -> None:
         self._opens[shard] += 1
         self.n_opened += 1
         tm.count("shard.breaker.opens")
-        if self._opens[shard] >= self.config.blacklist_after:
+        if self._opens[shard] >= _BLACKLIST_AFTER:
             self._dead[shard] = True
             self._open_until[shard] = -1
             self.n_blacklisted += 1
             tm.count("shard.breaker.blacklisted")
             tm.event("shard.breaker", shard=shard, state="dead")
             return
-        self._open_until[shard] = round_index + 1 + self.config.cooldown_rounds
+        self._open_until[shard] = round_index + 1 + _COOLDOWN_ROUNDS
         tm.event(
             "shard.breaker",
             shard=shard,
@@ -386,10 +365,8 @@ class ShardBreaker:
         }
 
     @classmethod
-    def from_dict(
-        cls, data: dict, *, n_shards: int, config: ShardBreakerConfig | None = None
-    ) -> "ShardBreaker":
-        breaker = cls(n_shards, config)
+    def from_dict(cls, data: dict, *, n_shards: int) -> "ShardBreaker":
+        breaker = cls(n_shards)
         for name, attr in (
             ("consecutive", "_consecutive"),
             ("open_until", "_open_until"),

@@ -5,9 +5,9 @@ The paper's single global GP struggles on heterogeneous response surfaces
 Following the partitioned-AL recipe (Lee et al., "Partitioned Active
 Learning for Heterogeneous Systems", arXiv:2105.08547), this module
 splits the design space into spatial cells and learns one *local* GP per
-cell, acquiring points with the two-step rule: pick the shard whose
-aggregated criterion is largest, then run the paper's strategies locally
-inside it.
+cell, acquiring points with the two-step rule: pick the shard whose best
+local score is largest, then run the paper's strategies locally inside
+it.
 
 The layer is built robust-first.  Every component assumes its shard can
 crash, hang, or silently corrupt data, and degrades instead of dying:
@@ -16,14 +16,14 @@ crash, hang, or silently corrupt data, and degrades instead of dying:
   design matrix (seeded init, Lloyd iterations, deterministic empty-cell
   reseeding).  Distinct from the Initial/Active/Test
   :class:`~repro.al.partition.Partition`, which it composes with.
-* :class:`ShardedLearner` — fits one local GP per shard in parallel via
-  :class:`~repro.parallel.ParallelMap` (shard-affinity task groups,
+* :class:`ShardedLearner` — fits one local GP per shard per round
+  through a :class:`~repro.parallel.ParallelMap` (serial by default,
   per-shard spawned seeds), bit-identical across backends and worker
   counts.
 * :class:`AcquisitionRouter` — the two-step acquisition rule, with
   boundary refinement: points whose two nearest cell centers are within
-  ``boundary_margin`` of each other consult both shards' models and take
-  the larger score.
+  the boundary margin (:data:`_BOUNDARY_MARGIN`) of each other consult
+  both shards' models and take the larger score.
 * :class:`ShardSupervisor` — the robustness headline: one
   :class:`~repro.al.guardrails.FitGate` per shard (health check and
   last-known-good rollback, as for the global model), a shard-level
@@ -72,7 +72,7 @@ from .learner import default_model_factory
 from .metrics import evaluate_model
 from .partition import Partition
 from .pool import CandidatePool
-from .resilience import ShardBreaker, ShardBreakerConfig
+from .resilience import ShardBreaker
 from .session import (
     capture_generators,
     dataset_digest,
@@ -93,6 +93,15 @@ __all__ = [
 ]
 
 _MANIFEST_VERSION = 1
+
+#: Relative cell-boundary width: pool and query rows with
+#: ``(d2 - d1)/(d2 + d1)`` below it are scored by the neighboring shard's
+#: model too, and :class:`ShardedModel` blends their predictions.
+_BOUNDARY_MARGIN = 0.15
+
+#: Extra fit attempts per shard per round after an injected or real
+#: failure, each with its own deterministic seed key.
+_MAX_FIT_RETRIES = 2
 
 
 def _data_hash(X, y) -> str:
@@ -255,38 +264,16 @@ class ShardingConfig:
         Master entropy: partitioner seed, per-shard model seeds, fault
         draws, per-shard strategy seeds and the router's tie-break RNG
         are all spawned from it with disjoint keys.
-    boundary_margin:
-        Relative cell-boundary width; pool points with
-        ``(d2 - d1)/(d2 + d1)`` below it consult the neighboring shard's
-        model too (and :class:`ShardedModel` blends predictions there).
-    criterion:
-        Shard-level aggregation of local scores: ``"max"`` (the paper's
-        most-uncertain-cell rule) or ``"mean"``.
-    max_fit_retries:
-        Extra fit attempts per shard per round after an injected or real
-        failure, each with its own deterministic seed key.
-    min_fit_points:
-        Shards below this training size stay *cold*: excluded from
-        fitting, routed by distance-to-center so they warm up first.
-    breaker / health:
-        Shard circuit-breaker thresholds and per-shard model-health
-        thresholds (``health=None`` disables the health gate).
-    blend_boundary_predictions:
-        Whether the final :class:`ShardedModel` blends near-boundary
-        predictions (precision-weighted product of experts).
+    health:
+        Per-shard model-health thresholds (``health=None`` disables the
+        health gate).
     """
 
     n_shards: int = 4
     n_rounds: int = 10
     batch_size: int = 1
     seed: int = 0
-    boundary_margin: float = 0.15
-    criterion: str = "max"
-    max_fit_retries: int = 2
-    min_fit_points: int = 1
-    breaker: ShardBreakerConfig = field(default_factory=ShardBreakerConfig)
     health: HealthConfig | None = field(default_factory=HealthConfig)
-    blend_boundary_predictions: bool = True
 
     def __post_init__(self):
         if self.n_shards < 1:
@@ -295,16 +282,6 @@ class ShardingConfig:
             raise ValueError("n_rounds must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0.0 <= self.boundary_margin < 1.0:
-            raise ValueError("boundary_margin must be in [0, 1)")
-        if self.criterion not in ("max", "mean"):
-            raise ValueError(
-                f"unknown criterion {self.criterion!r}; expected 'max' or 'mean'"
-            )
-        if self.max_fit_retries < 0:
-            raise ValueError("max_fit_retries must be >= 0")
-        if self.min_fit_points < 1:
-            raise ValueError("min_fit_points must be >= 1")
 
 
 # ---------------------------------------------------------------- fit task
@@ -315,7 +292,10 @@ class _ShardFitTask:
 
     The task *never* raises: crash/hang faults and genuine fit errors all
     come back as structured failure outcomes so one poisoned shard cannot
-    take down the wave.  An injected ``corrupt`` silently scales the
+    take down the wave.  A successful outcome carries the fitted model
+    itself: a process worker pickles it, which round-trips bit-exactly,
+    and an approximate model keeps the training rows its snapshot and its
+    believer updates need.  An injected ``corrupt`` silently scales the
     responses before fitting; the parent unmasks it by comparing the
     returned ``data_hash`` (computed *after* corruption) against the hash
     of the data it actually sent.
@@ -369,15 +349,11 @@ class _ShardFitTask:
             return model
 
         try:
-            model = fit_with_jitter(build, X, y)
+            out["model"] = fit_with_jitter(build, X, y)
             out["ok"] = True
-            # to_dict round-trips bit-exactly, so shipping the payload
-            # (instead of the live object) keeps every backend identical.
-            out["model"] = model.to_dict()
-            out["data_hash"] = _data_hash(X, y)
         except Exception as exc:  # noqa: BLE001 - isolation boundary
             out["error"] = f"{type(exc).__name__}: {exc}"
-            out["data_hash"] = _data_hash(X, y)
+        out["data_hash"] = _data_hash(X, y)
         return out
 
 
@@ -394,9 +370,9 @@ class ShardSupervisor:
     — and a seat on the shared :class:`~repro.al.resilience.ShardBreaker`.
     Unlike the global model's gate, a shard gate never force-accepts an
     unhealthy fit and never remediates: the fits run inside workers from a
-    fixed factory.  Fit waves run through :meth:`ParallelMap.map_grouped`
-    with one affinity group per shard; retries are extra waves with
-    attempt-keyed fault draws, so the whole schedule is deterministic.
+    fixed factory.  A fit wave is one :meth:`ParallelMap.map` over the
+    pending shards; up to :data:`_MAX_FIT_RETRIES` retries are extra waves
+    with attempt-keyed fault draws, so the whole schedule is deterministic.
     """
 
     def __init__(
@@ -413,7 +389,7 @@ class ShardSupervisor:
         self.model_factory = model_factory
         self.pmap = pmap
         self.fault_config = fault_config
-        self.breaker = ShardBreaker(n_shards, config.breaker)
+        self.breaker = ShardBreaker(n_shards)
         self.tallies = GuardrailTallies()
         self.gates = {
             s: FitGate(
@@ -451,11 +427,11 @@ class ShardSupervisor:
     ) -> dict:
         """Fit every serviceable, warm shard; return ``{shard: model}``.
 
-        A shard ends the round with either a fresh healthy fit, a
-        last-known-good restore (unhealthy fit or exhausted retries), or
-        no model at all (cold, open, dead, or failed with no LKG) — in
-        which case it is simply absent from the result and the router
-        re-routes its pool mass.
+        A shard is warm once it has a training row.  It ends the round
+        with either a fresh healthy fit, a last-known-good restore
+        (unhealthy fit or exhausted retries), or no model at all (cold,
+        open, dead, or failed with no LKG) — in which case it is simply
+        absent from the result and the router re-routes its pool mass.
         """
         cfg = self.config
         task = self._task()
@@ -463,8 +439,7 @@ class ShardSupervisor:
         pending = [
             s
             for s in range(self.n_shards)
-            if self.breaker.serviceable(s, round_index)
-            and len(shard_y.get(s, ())) >= cfg.min_fit_points
+            if self.breaker.serviceable(s, round_index) and len(shard_y[s])
         ]
         expected = {
             s: _data_hash(shard_X[s], shard_y[s]) for s in pending
@@ -472,7 +447,7 @@ class ShardSupervisor:
         fitted: dict[int, GaussianProcessRegressor] = {}
         succeeded_attempt: dict[int, int] = {}
         with tm.span("shard.fit_round", round=round_index, n_shards=len(pending)):
-            for attempt in range(cfg.max_fit_retries + 1):
+            for attempt in range(_MAX_FIT_RETRIES + 1):
                 if not pending:
                     break
                 items = [
@@ -486,11 +461,11 @@ class ShardSupervisor:
                     )
                     for s in pending
                 ]
-                outcomes = self.pmap.map_grouped(task, items, keys=list(pending))
+                outcomes = self.pmap.map(task, items)
                 still = []
                 for s, out in zip(pending, outcomes):
                     if out["ok"] and out["data_hash"] == expected[s]:
-                        fitted[s] = GaussianProcessRegressor.from_dict(out["model"])
+                        fitted[s] = out["model"]
                         succeeded_attempt[s] = attempt
                         continue
                     if out["ok"]:
@@ -514,7 +489,7 @@ class ShardSupervisor:
                             fault=out["fault"],
                             error=out["error"],
                         )
-                    if attempt < cfg.max_fit_retries:
+                    if attempt < _MAX_FIT_RETRIES:
                         self.records[s]["retries"] += 1
                         tm.count("shard.fit.retries")
                         still.append(s)
@@ -531,6 +506,10 @@ class ShardSupervisor:
             if gate.last_report is not None and not gate.last_report.healthy:
                 rec["unhealthy_fits"] += 1
             if models[s] is fresh:
+                if gate.health is None:
+                    # An unchecked gate keeps no snapshot of its own; the
+                    # failed-retry restore below reads this one.
+                    gate.lkg.remember(fresh)
                 # The resume rebuilds the snapshot from this seed key.
                 rec["lkg_round"] = int(round_index)
                 rec["lkg_attempt"] = int(succeeded_attempt[s])
@@ -595,15 +574,15 @@ class ShardSupervisor:
 class AcquisitionRouter:
     """The two-step acquisition rule over one round's shard models.
 
-    Step 1 picks the shard whose aggregated local criterion (``max`` or
-    ``mean`` of its candidates' scores) is largest; step 2 runs the
-    paper's strategy locally inside it.  Three robustness wrinkles:
+    Step 1 picks the shard whose best candidate score (the paper's
+    most-uncertain-cell rule) is largest; step 2 runs the paper's strategy
+    locally inside it.  Three robustness wrinkles:
 
     * **Re-routing** — pool points whose home shard is open or dead are
       adopted by the nearest serviceable shard's center, so no pool mass
       is stranded.
-    * **Boundary refinement** — points within ``boundary_margin`` of a
-      cell edge are scored by both adjacent models and take the larger
+    * **Boundary refinement** — points within :data:`_BOUNDARY_MARGIN` of
+      a cell edge are scored by both adjacent models and take the larger
       score (a neighbor may know the edge better than the owner).
     * **Cold-shard priming** — a serviceable shard without a model yet
       gets an infinite criterion and picks its point nearest the cell
@@ -625,7 +604,6 @@ class AcquisitionRouter:
         pool: CandidatePool,
         home_shard: np.ndarray,
         serviceable: list,
-        config: ShardingConfig,
         tie_rng: np.random.Generator,
     ):
         self.partitioner = partitioner
@@ -633,7 +611,6 @@ class AcquisitionRouter:
         self.pool = pool
         self.home_shard = np.asarray(home_shard, dtype=int)
         self.serviceable = sorted(serviceable)
-        self.config = config
         self.tie_rng = tie_rng
         self.believers = {
             s: models[s].clone_fitted() for s in sorted(models)
@@ -666,12 +643,12 @@ class AcquisitionRouter:
         scores = np.full(avail.size, -np.inf)
         model_shards = sorted(self.believers)
         consult = None
-        if len(model_shards) >= 2 and self.config.boundary_margin > 0:
+        if len(model_shards) >= 2:
             first, second, margin = self.partitioner.nearest_two(
                 self.pool.X[avail], among=model_shards
             )
             consult = np.where(
-                (margin < self.config.boundary_margin) & (second != owners),
+                (margin < _BOUNDARY_MARGIN) & (second != owners),
                 second,
                 -1,
             )
@@ -715,8 +692,6 @@ class AcquisitionRouter:
                 shard_ids.append(s)
                 if s not in self.believers:
                     criteria.append(np.inf)  # cold shard: prime it first
-                elif self.config.criterion == "mean":
-                    criteria.append(float(np.mean(scores[rows])))
                 else:
                     criteria.append(float(np.max(scores[rows])))
             if not shard_ids:
@@ -760,29 +735,21 @@ class ShardedModel:
 
     Each query row routes to the nearest cell center among shards that
     still *have* a model (a dead shard's region is answered by its
-    nearest living neighbor — degraded but never silent).  Near-boundary
-    rows optionally blend the two adjacent models with a precision
-    weighted product of experts: higher-confidence experts dominate, and
-    the blended variance ``1/(w1+w2)`` is tighter than either alone.
+    nearest living neighbor — degraded but never silent).  Rows within
+    :data:`_BOUNDARY_MARGIN` of a cell edge blend the two adjacent models
+    with a precision weighted product of experts: higher-confidence
+    experts dominate, and the blended variance ``1/(w1+w2)`` is tighter
+    than either alone.
 
     Duck-types ``predict(X, return_std=)``, so every metric in
     :mod:`repro.al.metrics` and the serving layer work unchanged.
     """
 
-    def __init__(
-        self,
-        partitioner: InputPartitioner,
-        models: dict,
-        *,
-        boundary_margin: float = 0.15,
-        blend: bool = True,
-    ):
+    def __init__(self, partitioner: InputPartitioner, models: dict):
         if not models:
             raise ValueError("ShardedModel requires at least one shard model")
         self.partitioner = partitioner
         self.models = {int(s): m for s, m in models.items()}
-        self.boundary_margin = float(boundary_margin)
-        self.blend = bool(blend)
 
     @property
     def fitted(self) -> bool:
@@ -796,11 +763,7 @@ class ShardedModel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         shards = sorted(self.models)
         first, second, margin = self.partitioner.nearest_two(X, among=shards)
-        blend_rows = (
-            (margin < self.boundary_margin) & (second >= 0)
-            if self.blend
-            else np.zeros(X.shape[0], dtype=bool)
-        )
+        blend_rows = (margin < _BOUNDARY_MARGIN) & (second >= 0)
         mu = np.zeros(X.shape[0])
         var = np.zeros(X.shape[0])
         for s in shards:
@@ -840,7 +803,7 @@ class ShardedLearner:
     Composes the Initial/Active/Test :class:`~repro.al.partition.Partition`
     (what may be measured) with an :class:`InputPartitioner` (who owns
     which region): Initial rows seed their home shard's training set, and
-    every acquisition round fits all warm serviceable shards in parallel,
+    every acquisition round fits all warm serviceable shards,
     routes the batch through an :class:`AcquisitionRouter`, and adopts
     each measurement into its owner's (append-only) training set.
 
@@ -858,10 +821,10 @@ class ShardedLearner:
         Optional :class:`~repro.cluster.faults.ShardFaultConfig`; when
         enabled, shard fits are fault-injected (crash/hang/corrupt) with
         draws keyed by ``(shard, round, attempt)``.
-    ``pmap`` / ``backend`` / ``n_workers``
-        Either a ready :class:`~repro.parallel.ParallelMap` or its
-        constructor arguments (default backend ``serial`` — results are
-        bit-identical across all of them).
+    ``pmap``
+        The :class:`~repro.parallel.ParallelMap` of the fit waves
+        (default: the serial backend, which on a 2-vCPU machine measured
+        fastest; results are bit-identical across all backends).
     ``registry``
         Optional :class:`~repro.serve.registry.ModelRegistry` (or path);
         the final per-shard models are published as one bundle.
@@ -878,8 +841,6 @@ class ShardedLearner:
         strategy: Strategy | None = None,
         model_factory=None,
         pmap: ParallelMap | None = None,
-        backend: str | None = None,
-        n_workers: int | None = None,
         fault_config: ShardFaultConfig | None = None,
         registry=None,
     ):
@@ -898,11 +859,7 @@ class ShardedLearner:
             config.n_shards, seed=config.seed
         ).fit(X)
         self.model_factory = model_factory or default_model_factory()
-        if pmap is None:
-            pmap = ParallelMap(
-                backend, n_workers, default_backend="serial"
-            )
-        self.pmap = pmap
+        self.pmap = pmap or ParallelMap(default_backend="serial")
         self.supervisor = ShardSupervisor(
             config.n_shards,
             config=config,
@@ -977,12 +934,7 @@ class ShardedLearner:
     def _sharded_model(self, models: dict) -> ShardedModel | None:
         if not models:
             return None
-        return ShardedModel(
-            self.partitioner,
-            models,
-            boundary_margin=self.config.boundary_margin,
-            blend=self.config.blend_boundary_predictions,
-        )
+        return ShardedModel(self.partitioner, models)
 
     # ----------------------------------------------------------- main loop
 
@@ -1032,9 +984,7 @@ class ShardedLearner:
 
         sup = self.supervisor
         sup.breaker = ShardBreaker.from_dict(
-            manifest["breaker"],
-            n_shards=self.config.n_shards,
-            config=self.config.breaker,
+            manifest["breaker"], n_shards=self.config.n_shards
         )
         sup.total_rounds = int(manifest.get("total_fit_rounds", 0))
         sup.tallies = GuardrailTallies.from_dict(manifest.get("tallies"))
@@ -1075,9 +1025,7 @@ class ShardedLearner:
                 )
             )
             if out["ok"]:
-                self.supervisor.gates[s].lkg.remember(
-                    GaussianProcessRegressor.from_dict(out["model"])
-                )
+                self.supervisor.gates[s].lkg.remember(out["model"])
 
     def _loop(self, start_round: int, checkpoint_path) -> CampaignResult:
         cfg = self.config
@@ -1097,7 +1045,6 @@ class ShardedLearner:
                     self.pool,
                     self._pool_home,
                     serviceable,
-                    cfg,
                     self._rng,
                 )
                 picks = router.select_batch(cfg.batch_size)

@@ -393,16 +393,36 @@ def _fit_nystrom(kernel, noise_variance, jitter, X, y_norm, cfg, rng) -> dict:
 
 
 def _predict_nystrom(arrays, kernel, noise_variance, jitter, Xq, want):
-    K_sm = kernel(Xq, arrays["Z"])  # (q, m)
-    mean = K_sm @ arrays["w"]
-    if want is None:
-        return mean, None
-    v1 = solve_triangular(arrays["Lm"], K_sm.T, lower=True, check_finite=False)
-    v2 = solve_triangular(arrays["Lc"], K_sm.T, lower=True, check_finite=False)
+    """Nystrom latent predictive mean (and variance/covariance), normalized units.
+
+    Like :func:`predict_exact`, the mean and variance are computed in blocks
+    of ``_PREDICT_ROWS`` query rows, one ``(rows, m)`` cross-covariance at a
+    time, with the floats of the one-shot pass in the same order: the
+    variance is bitwise the one-shot variance, and so is the mean under
+    single-threaded BLAS.  ``want="cov"`` builds the full ``(q, q)``
+    covariance in one shot.
+    """
+    Z, Lm, Lc, w = arrays["Z"], arrays["Lm"], arrays["Lc"], arrays["w"]
     if want == "cov":
-        cov = kernel(Xq) - v1.T @ v1 + v2.T @ v2
-        return mean, cov
-    var = kernel.diag(Xq) - np.sum(v1**2, axis=0) + np.sum(v2**2, axis=0)
+        K_sm = kernel(Xq, Z)  # (q, m)
+        v1 = solve_triangular(Lm, K_sm.T, lower=True, check_finite=False)
+        v2 = solve_triangular(Lc, K_sm.T, lower=True, check_finite=False)
+        return K_sm @ w, kernel(Xq) - v1.T @ v1 + v2.T @ v2
+    mean = np.empty(Xq.shape[0])
+    var = None if want is None else kernel.diag(Xq)
+    for a, b in row_blocks(Xq.shape[0]):
+        K_sm = kernel(Xq[a:b], Z)  # (rows, m)
+        np.matmul(K_sm, w, out=mean[a:b])
+        if var is not None:
+            v1 = solve_triangular(Lm, K_sm.T, lower=True, check_finite=False)
+            # v2 is solved into the block's own storage, K_sm is not read again
+            v2 = solve_triangular(
+                Lc, K_sm.T, lower=True, overwrite_b=True, check_finite=False
+            )
+            v1 *= v1
+            v2 *= v2
+            var[a:b] -= np.sum(v1, axis=0)
+            var[a:b] += np.sum(v2, axis=0)
     return mean, var
 
 

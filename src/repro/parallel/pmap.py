@@ -418,39 +418,6 @@ class ParallelMap:
         """:meth:`map` for tasks taking several positional arguments."""
         return self.map(_Star(fn), items)
 
-    def map_grouped(self, fn: Callable, items: Iterable, keys: Iterable) -> list:
-        """:meth:`map` with affinity groups: same key -> same worker.
-
-        Items sharing a key are bundled into one task and executed
-        sequentially, in input order, inside a single worker — the
-        ``process``-backend analogue of pinning one shard's work to one
-        worker.  Distinct groups run in parallel.  Results come back
-        flattened in the *original* input order, so the call is
-        result-identical to ``self.map(fn, items)`` (and that is exactly
-        what the serial backend does); grouping only changes placement.
-        Group scheduling order follows first key appearance, keeping
-        placement deterministic for any hashable key type.
-        """
-        items = list(items)
-        keys = list(keys)
-        if len(items) != len(keys):
-            raise ValueError(
-                f"items and keys must have equal length "
-                f"({len(items)} != {len(keys)})"
-            )
-        positions: dict = {}
-        for i, key in enumerate(keys):
-            positions.setdefault(key, []).append(i)
-        if len(positions) == len(items):  # every key unique: plain map
-            return self.map(fn, items)
-        groups = [[items[i] for i in pos] for pos in positions.values()]
-        grouped = self.map(_Group(fn), groups)
-        results = [None] * len(items)
-        for pos, group_results in zip(positions.values(), grouped):
-            for i, result in zip(pos, group_results):
-                results[i] = result
-        return results
-
     def __repr__(self) -> str:
         return f"ParallelMap(backend={self.backend!r}, n_workers={self.n_workers})"
 
@@ -465,15 +432,3 @@ class _Star:
 
     def __call__(self, args):
         return self.fn(*args)
-
-
-class _Group:
-    """Picklable adapter running one affinity group's items sequentially."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def __call__(self, group_items):
-        return [self.fn(item) for item in group_items]

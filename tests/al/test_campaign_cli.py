@@ -45,3 +45,20 @@ def test_removed_rff_solver_is_rejected(capsys):
         main(["--solver", "rff"])
     assert exc.value.code == 2
     assert "'exact', 'nystrom', 'auto'" in capsys.readouterr().err
+
+
+def test_sharded_mode_fits_with_the_chosen_solver(capsys, monkeypatch):
+    from repro.al import sharding
+
+    built = []
+
+    class Recording(sharding.ShardedLearner):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(sharding, "ShardedLearner", Recording)
+    argv = ["--shards", "2", "--rounds", "2", "--pool-size", "80", "--solver", "nystrom"]
+    assert _run(capsys, argv)["stop_reason"].strip() == "completed"
+    final = built[0]._models
+    assert final and {m.solver_info["name"] for m in final.values()} == {"nystrom"}

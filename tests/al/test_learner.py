@@ -270,3 +270,22 @@ def test_fuse_repeats_validates_repeat_noise_variance():
                 X, y, costs, part, VarianceReduction(),
                 fuse_repeats=True, repeat_noise_variance=bad,
             )
+
+
+def test_unguarded_learner_takes_no_gate_snapshot(monkeypatch):
+    """An unchecked gate never rolls back, so it copies none of the fits."""
+    from repro.gp.gpr import GaussianProcessRegressor
+
+    clones = []
+    clone_fitted = GaussianProcessRegressor.clone_fitted
+
+    def counting(self):
+        clones.append(self)
+        return clone_fitted(self)
+
+    monkeypatch.setattr(GaussianProcessRegressor, "clone_fitted", counting)
+    _learner().run(5)
+    assert clones == []
+    # A guarded learner still snapshots its accepted fits.
+    _learner(guardrails=True).run(5)
+    assert clones

@@ -8,8 +8,9 @@ criteria: backend/worker bit-identity and the 2-of-8 chaos run.
 import numpy as np
 import pytest
 
+from repro.al.learner import default_model_factory
 from repro.al.partition import random_partition
-from repro.al.resilience import ShardBreaker, ShardBreakerConfig
+from repro.al.resilience import ShardBreaker
 from repro.al.sharding import (
     InputPartitioner,
     ShardedLearner,
@@ -87,11 +88,6 @@ def test_config_validation():
         dict(n_shards=0),
         dict(n_rounds=0),
         dict(batch_size=0),
-        dict(boundary_margin=-0.1),
-        dict(boundary_margin=1.5),
-        dict(criterion="median"),
-        dict(max_fit_retries=-1),
-        dict(min_fit_points=0),
     ):
         with pytest.raises(ValueError):
             ShardingConfig(**bad)
@@ -101,8 +97,7 @@ def test_config_validation():
 
 
 def test_breaker_opens_after_consecutive_failures():
-    cfg = ShardBreakerConfig(open_after=2, cooldown_rounds=2, blacklist_after=3)
-    b = ShardBreaker(3, cfg)
+    b = ShardBreaker(3)
     assert b.state(0, 0) == "closed"
     b.record_failure(0, 0)
     assert b.state(0, 1) == "closed"  # one strike is not enough
@@ -110,7 +105,8 @@ def test_breaker_opens_after_consecutive_failures():
     assert b.state(0, 2) == "open"
     assert not b.serviceable(0, 2)
     assert b.serviceable_shards(2) == [1, 2]
-    # After the cooldown the shard gets a half-open probe.
+    # After the two-round cooldown the shard gets a half-open probe.
+    assert b.state(0, 3) == "open"
     assert b.state(0, 4) == "half_open"
     b.record_success(0, 4)
     assert b.state(0, 5) == "closed"
@@ -118,32 +114,38 @@ def test_breaker_opens_after_consecutive_failures():
 
 
 def test_breaker_blacklists_flapping_shard():
-    cfg = ShardBreakerConfig(open_after=1, cooldown_rounds=1, blacklist_after=2)
-    b = ShardBreaker(2, cfg)
-    b.record_failure(0, 0)          # open #1
-    assert b.state(0, 1) == "open"
-    b.record_failure(0, 2)          # half-open probe fails -> open #2 -> dead
-    assert b.state(0, 3) == "dead"
+    b = ShardBreaker(2)
+    b.record_failure(0, 0)
+    b.record_failure(0, 1)          # open #1, until round 4
+    assert b.state(0, 3) == "open"
+    assert b.state(0, 4) == "half_open"
+    b.record_failure(0, 4)          # half-open probe fails -> open #2
+    assert b.state(0, 6) == "open"
+    assert b.state(0, 7) == "half_open"
+    assert b.dead_shards() == []
+    b.record_failure(0, 7)          # open #3 -> dead
+    assert b.state(0, 8) == "dead"
     assert b.dead_shards() == [0]
-    assert b.n_blacklisted == 1
+    assert b.n_opened == 3 and b.n_probes == 2 and b.n_blacklisted == 1
     # A dead shard ignores further outcomes.
-    b.record_success(0, 4)
-    assert b.state(0, 5) == "dead"
+    b.record_success(0, 9)
+    assert b.state(0, 10) == "dead"
 
 
 def test_breaker_round_trips_through_dict():
-    cfg = ShardBreakerConfig(open_after=1, cooldown_rounds=2, blacklist_after=3)
-    b = ShardBreaker(4, cfg)
+    b = ShardBreaker(4)
     b.record_failure(1, 0)
+    b.record_failure(1, 1)          # shard 1 opens
     b.record_failure(3, 0)
-    b.record_success(3, 3)
-    restored = ShardBreaker.from_dict(b.as_dict(), n_shards=4, config=cfg)
+    b.record_success(3, 3)          # shard 3's strike is cleared
+    restored = ShardBreaker.from_dict(b.as_dict(), n_shards=4)
     for shard in range(4):
-        for r in range(6):
+        for r in range(8):
             assert restored.state(shard, r) == b.state(shard, r)
-    assert restored.n_opened == b.n_opened
+    assert restored.state(1, 2) == "open"
+    assert restored.n_opened == b.n_opened == 1
     with pytest.raises(ValueError):
-        ShardBreaker.from_dict(b.as_dict(), n_shards=5, config=cfg)
+        ShardBreaker.from_dict(b.as_dict(), n_shards=5)
 
 
 # --------------------------------------------------------- Strategy.with_seed
@@ -193,14 +195,22 @@ def test_sharded_model_predicts_with_blending():
     mu, sd = model.predict(X[part.test], return_std=True)
     assert mu.shape == sd.shape == (part.test.size,)
     assert np.all(np.isfinite(mu)) and np.all(sd > 0)
-    # Blending only changes rows near cell boundaries, never breaks shape.
-    plain = ShardedModel(
-        model.partitioner, model.models, boundary_margin=0.15, blend=False
-    )
-    mu2 = plain.predict(X[part.test])
-    assert mu2.shape == mu.shape
     with pytest.raises(ValueError):
         ShardedModel(model.partitioner, {})
+
+
+def test_nystrom_shards_run():
+    """Approximate shard models keep the rows the snapshot and believers need."""
+    X, y, costs, part = _small_problem(200, seed=5, n_initial=24)
+    cfg = ShardingConfig(n_shards=2, n_rounds=3, batch_size=2, seed=13)
+    result = _learner(
+        X, y, costs, part, cfg, model_factory=default_model_factory(solver="nystrom")
+    ).run()
+    assert result.stop_reason == "completed"
+    assert len(result.y) == 6
+    assert {m.solver_info["name"] for m in result.model.models.values()} == {"nystrom"}
+    mu = result.model.predict(X[part.test])
+    assert np.all(np.isfinite(mu))
 
 
 def test_single_shard_degenerates_to_global_gp():
@@ -283,6 +293,16 @@ def test_corrupt_faults_are_detected_by_hash():
         for v in result.shard_availability["per_shard"].values()
     )
     assert corrupt > 0  # the hash check actually unmasked corruptions
+
+
+def test_unchecked_shards_restore_after_failed_retries():
+    """Without a health gate a shard still serves its last fit when every retry fails."""
+    X, y, costs, part = _small_problem(80, seed=4)
+    cfg = ShardingConfig(n_shards=4, n_rounds=5, batch_size=2, seed=7, health=None)
+    faults = ShardFaultConfig(crash_rate=0.6)
+    result = _learner(X, y, costs, part, cfg, fault_config=faults).run()
+    assert result.guardrails.n_unhealthy_fits == 0
+    assert result.guardrails.n_rollbacks > 0
 
 
 # -------------------------------------------------------- registry bundles

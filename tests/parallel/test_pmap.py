@@ -40,10 +40,6 @@ def boom(x):
     raise RuntimeError(f"task {x} exploded")
 
 
-def tag_with_pid(x):
-    return (x, os.getpid())
-
-
 class TestResolveBackend:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv(ENV_BACKEND, "thread")
@@ -187,44 +183,6 @@ class TestCrossProcessTelemetry:
             snap = parent.snapshot()
         assert snap["counters"] == {"outer": 1}
         assert worker_reg.snapshot()["counters"] == {"inner": 1}
-
-
-class TestMapGrouped:
-    """Affinity groups: same key -> same worker, results in input order."""
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_result_identical_to_plain_map(self, backend):
-        items = list(range(10))
-        keys = [i % 3 for i in items]
-        pmap = ParallelMap(backend, 3)
-        assert pmap.map_grouped(square, items, keys) == pmap.map(square, items)
-
-    def test_same_key_lands_on_same_process(self):
-        items = list(range(12))
-        keys = [i % 4 for i in items]
-        tagged = ParallelMap("process", 4).map_grouped(tag_with_pid, items, keys)
-        assert [value for value, _ in tagged] == items
-        by_key = {}
-        for (_, pid), key in zip(tagged, keys):
-            by_key.setdefault(key, set()).add(pid)
-        assert all(len(pids) == 1 for pids in by_key.values())
-
-    def test_scatter_preserves_input_order(self):
-        items = [5, 1, 4, 2, 3]
-        keys = ["a", "b", "a", "b", "a"]
-        assert ParallelMap("thread", 2).map_grouped(square, items, keys) == [
-            25,
-            1,
-            16,
-            4,
-            9,
-        ]
-
-    def test_unique_keys_short_circuit_and_length_check(self):
-        pmap = ParallelMap("serial")
-        assert pmap.map_grouped(square, [1, 2, 3], ["x", "y", "z"]) == [1, 4, 9]
-        with pytest.raises(ValueError, match="equal length"):
-            pmap.map_grouped(square, [1, 2], ["x"])
 
 
 def test_env_var_steers_callsites(monkeypatch):
