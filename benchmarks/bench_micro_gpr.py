@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.gp import GaussianProcessRegressor
+from repro.gp import optimize
 from repro.gp.gpr import _FitObjective
 
 
@@ -86,3 +87,30 @@ def test_lml_objective_call(benchmark, n):
     value, grad = benchmark(_FitObjective(model, X, y), theta)
     assert np.isfinite(value)
     assert grad.shape == theta.shape
+
+
+@pytest.mark.parametrize("path", ["driver", "minimize"])
+@pytest.mark.parametrize("n", [10, 50, 100])
+def test_lbfgsb_start(benchmark, n, path):
+    """One L-BFGS-B descent from a fit's deterministic start.
+
+    ``driver`` is the loop :mod:`repro.gp.optimize` runs over scipy's
+    ``setulb``; ``minimize`` is ``scipy.optimize.minimize(method="L-BFGS-B")``
+    on the same guarded objective.  Both evaluate the same points and return
+    the same floats.  2-D inputs and the default isotropic kernel, like
+    ``paper_al``.  The table in ``benchmarks/README.md`` comes from this case.
+    """
+    X, y = _data(n)
+    model = GaussianProcessRegressor(rng=0)
+    objective, _ = model._objective_at(None, X, y)
+    bounds = model._theta_bounds()
+    start = np.clip(model._theta(), bounds[:, 0], bounds[:, 1])
+    task = optimize._StartTask(objective, bounds)
+    if path == "driver":
+        setulb = optimize._lbfgsb_routine()
+        if setulb is None:
+            pytest.skip("the installed scipy's setulb is not the driver's")
+        x, value, success, _ = benchmark(task.descend, start, setulb)
+    else:
+        x, value, success, _ = benchmark(task.minimize, start)
+    assert success and np.isfinite(value)

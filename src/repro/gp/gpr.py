@@ -213,11 +213,13 @@ class _FitObjective:
         # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^{-1}) dK/dtheta_j)
         K_inv = dpotrs(L, self.identity, lower=1)[0]
         inner = np.outer(weights, weights) - K_inv
-        grads = 0.5 * np.einsum("ij,ijk->k", inner, K_grad)
+        grads = np.empty(self.n_theta)
+        kernel_grads = grads[: K_grad.shape[2]]
+        np.einsum("ij,ijk->k", inner, K_grad, out=kernel_grads)
+        kernel_grads *= 0.5
         if self.learn_noise:
             # dK/d(log sigma_n^2) = sigma_n^2 * I
-            noise_grad = 0.5 * noise_variance * np.trace(inner)
-            grads = np.append(grads, noise_grad)
+            grads[-1] = 0.5 * noise_variance * np.trace(inner)
         return lml, grads
 
 
@@ -994,7 +996,7 @@ class GaussianProcessRegressor:
     def _lml_from_cholesky(L: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
         n = y.shape[0]
         return float(
-            -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * _LOG_2PI
+            -0.5 * y @ alpha - np.log(L.diagonal()).sum() - 0.5 * n * _LOG_2PI
         )
 
     def log_marginal_likelihood(

@@ -3,7 +3,15 @@
 The paper relies on scikit-learn's behaviour: gradient ascent on the LML
 within a bounded hyperparameter box, repeated from several random starting
 points "in order to increase reliability".  This module reproduces that with
-``scipy.optimize.minimize(method="L-BFGS-B")``.
+L-BFGS-B.  Each start runs this module's own driver loop over scipy's
+L-BFGS-B routine (``scipy.optimize._lbfgsb.setulb``), a copy of what
+``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` does in scipy
+1.17.1 without its per-start wrapper objects: the same settings, the same
+evaluation at the clipped start, the same last-point cache and the same
+stops, so it returns the same floats.  ``setulb`` is private API whose
+signature changed when scipy moved L-BFGS-B from Fortran to C; when the
+installed one is not the signature the loop was written against, every
+start goes through ``minimize`` instead (:func:`_lbfgsb_routine`).
 
 The restart count is an explicit knob because it is one of the design
 choices DESIGN.md marks for ablation (``bench_ablation_restarts``): Fig. 4
@@ -26,6 +34,40 @@ __all__ = ["OptimizeOutcome", "minimize_with_restarts"]
 #: Value substituted for non-finite objective evaluations so that L-BFGS-B
 #: treats the point as very bad instead of aborting.
 _BAD_VALUE = 1e25
+
+# ``minimize``'s L-BFGS-B defaults: history size, factr (its ``ftol`` over
+# machine epsilon), projected-gradient tolerance, line-search steps and the
+# iteration and evaluation limits.
+_M = 10
+_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_PGTOL = 1e-5
+_MAXLS = 20
+_MAXITER = 15000
+_MAXFUN = 15000
+
+#: The ``setulb`` the driver loop was written against (scipy >= 1.15, C).
+_SETULB_SIGNATURE = (
+    "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+)
+#: ``setulb`` once resolved; ``False`` means "use ``minimize``".
+_SETULB = None
+
+
+def _lbfgsb_routine():
+    """scipy's ``setulb`` if it has the expected signature, else ``None``.
+
+    Checked once, at the first start (deferred: only fits need scipy's
+    optimizer).
+    """
+    global _SETULB
+    if _SETULB is None:
+        try:
+            from scipy.optimize._lbfgsb import setulb
+        except ImportError:
+            setulb = None
+        doc = getattr(setulb, "__doc__", None) or ""
+        _SETULB = setulb if doc.partition("\n")[0] == _SETULB_SIGNATURE else False
+    return _SETULB or None
 
 
 @dataclass
@@ -64,67 +106,124 @@ class OptimizeOutcome:
     fallback: bool = False
 
 
-class _GuardedObjective:
-    """Guard an objective(theta) -> (value, grad) against non-finite output.
-
-    A class (not a closure) so the guarded objective pickles for the
-    process backend of :class:`repro.parallel.ParallelMap`, provided the
-    wrapped objective itself does.
-    """
-
-    __slots__ = ("objective",)
-
-    def __init__(self, objective: Callable):
-        self.objective = objective
-
-    def __call__(self, theta: np.ndarray):
-        value, grad = self.objective(theta)
-        if not np.isfinite(value):
-            return _BAD_VALUE, np.zeros_like(theta)
-        grad = np.asarray(grad, dtype=float)
-        if not np.all(np.isfinite(grad)):
-            grad = np.zeros_like(theta)
-        return float(value), grad
-
-
 class _StartTask:
     """Run L-BFGS-B from one start; picklable for process-pool dispatch.
 
     Returns ``(theta, value, status)`` — plain data, so outcomes can be
     shipped across processes and merged by the parent in *start order*.
+    The objective is guarded against non-finite output (:meth:`guarded`),
+    and the picklability of the task is that of the objective.
     """
 
-    __slots__ = ("wrapped", "bounds")
+    __slots__ = ("objective", "bounds", "low", "high", "l", "u", "nbd")
 
-    def __init__(self, wrapped: Callable, bounds: np.ndarray):
-        self.wrapped = wrapped
+    def __init__(self, objective: Callable, bounds: np.ndarray):
+        self.objective = objective
         self.bounds = bounds
+        # ``minimize``'s bound handling: a bound that is not finite (NaN
+        # included) is no bound.  ``low``/``high`` clip the start; setulb
+        # reads ``l``/``u`` (0 where a side is unbounded) and ``nbd``, which
+        # codes the bounded sides: 0 none, 1 lower, 2 both, 3 upper.
+        self.low = np.where(bounds[:, 0] > -np.inf, bounds[:, 0], -np.inf)
+        self.high = np.where(bounds[:, 1] < np.inf, bounds[:, 1], np.inf)
+        has_low, has_high = ~np.isinf(self.low), ~np.isinf(self.high)
+        self.l = np.where(has_low, self.low, 0.0)
+        self.u = np.where(has_high, self.high, 0.0)
+        nbd = np.select([has_low & has_high, has_low, has_high], [2, 1, 3], 0)
+        self.nbd = nbd.astype(np.int32)
+
+    def guarded(self, theta: np.ndarray):
+        """``objective(theta)`` with non-finite output made harmless.
+
+        A non-finite value becomes ``_BAD_VALUE`` with a zero gradient; a
+        non-finite gradient becomes zero.
+        """
+        value, grad = self.objective(theta)
+        if not np.isfinite(value):
+            return _BAD_VALUE, np.zeros_like(theta)
+        grad = np.asarray(grad, dtype=float)
+        if not np.isfinite(grad).all():
+            grad = np.zeros_like(theta)
+        return float(value), grad
 
     def __call__(self, indexed_start) -> tuple[np.ndarray, float, str]:
-        from scipy.optimize import minimize  # deferred: only fits need it
-
         index, start = indexed_start
         with tm.span("restart", index=index) as sp:
-            result = minimize(
-                self.wrapped,
-                start,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=self.bounds,
-            )
-            value = float(result.fun)
+            setulb = _lbfgsb_routine()
+            if setulb is None:
+                x, value, success, n_eval = self.minimize(start)
+            else:
+                x, value, success, n_eval = self.descend(start, setulb)
+            value = float(value)
             if value >= _BAD_VALUE:
                 # Every evaluation this start saw was non-finite; its
                 # "optimum" is the substituted sentinel, not a real point.
                 status = "nonfinite"
-            elif result.success:
+            elif success:
                 status = "ok"
             else:
                 status = "failed"
-            sp.set(value=value, status=status)
+            sp.set(value=value, status=status, evaluations=n_eval)
+        tm.count("gp.optimize.evaluations", n_eval)
         if status != "ok":
             tm.count("gp.optimize.bad_starts")
-        return np.asarray(result.x), value, status
+        return np.asarray(x), value, status
+
+    def minimize(self, start):
+        """One descent through ``scipy.optimize.minimize``: ``(x, f, success, n_eval)``."""
+        from scipy.optimize import minimize  # deferred: only fits need it
+
+        result = minimize(
+            self.guarded, start, jac=True, method="L-BFGS-B", bounds=self.bounds
+        )
+        return result.x, result.fun, result.success, result.nfev
+
+    def descend(self, start, setulb):
+        """One descent driving ``setulb`` directly: ``(x, f, success, n_eval)``.
+
+        Mirrors scipy 1.17.1's ``_minimize_lbfgsb`` under ``minimize``, so
+        every float, and the sequence of points evaluated, is the same.
+        """
+        if np.all(self.bounds[:, 0] == self.bounds[:, 1]):
+            # ``minimize`` does not descend when the box is a point.
+            x = self.bounds[:, 0].copy()
+            return x, self.guarded(x)[0], True, 1
+        n, m = start.size, _M
+        x = np.clip(start, self.low, self.high)
+        # ``minimize`` evaluates the clipped start before the first step and
+        # afterwards evaluates only a point that differs from the last one.
+        last_x = x.copy()
+        last_f, last_g = self.guarded(last_x.copy())
+        n_eval = 1
+        f = np.array(0.0)
+        g = np.zeros(n)
+        wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+        iwa = np.zeros(3 * n, dtype=np.int32)
+        task = np.zeros(2, dtype=np.int32)
+        ln_task = np.zeros(2, dtype=np.int32)
+        lsave = np.zeros(4, dtype=np.int32)
+        isave = np.zeros(44, dtype=np.int32)
+        dsave = np.zeros(29)
+        n_iter = 0
+        while True:
+            setulb(m, x, self.l, self.u, self.nbd, f, g, _FACTR, _PGTOL, wa, iwa,
+                   task, lsave, isave, dsave, _MAXLS, ln_task)
+            if task[0] == 3:  # FG: evaluate at x
+                if not (x == last_x).all():
+                    last_x = x.copy()
+                    last_f, last_g = self.guarded(last_x.copy())
+                    n_eval += 1
+                # setulb may write into g; the cached gradient stays intact.
+                f, g = last_f, np.array(last_g, dtype=np.float64, ndmin=1)
+            elif task[0] == 1:  # NEW_X: an iteration finished
+                n_iter += 1
+                if n_iter >= _MAXITER:
+                    task[:] = 5, 504
+                elif n_eval > _MAXFUN:
+                    task[:] = 5, 502
+            else:
+                break
+        return x, f, task[0] == 4, n_eval
 
 
 def minimize_with_restarts(
@@ -178,13 +277,12 @@ def minimize_with_restarts(
     if np.any(bounds[:, 0] > bounds[:, 1]):
         raise ValueError("bounds must satisfy low <= high")
     rng = np.random.default_rng(rng)
-    wrapped = _GuardedObjective(objective)
 
     starts = [np.clip(theta0, bounds[:, 0], bounds[:, 1])]
     for _ in range(n_restarts):
         starts.append(rng.uniform(bounds[:, 0], bounds[:, 1]))
 
-    task = _StartTask(wrapped, bounds)
+    task = _StartTask(objective, bounds)
     indexed = list(enumerate(starts))
     if executor is None:
         outcomes = [task(pair) for pair in indexed]

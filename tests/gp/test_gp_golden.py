@@ -19,15 +19,18 @@ The digests were taken at the default BLAS thread count (two threads on a
 ``nystrom`` case depends on it: under ``OPENBLAS_NUM_THREADS=1`` its error
 budget's ``max_mean_err`` (the largest gap between the Nystrom and exact
 means at 128 probes) moves in its last bits, so the ``state`` part (which
-carries the budget in ``afit``) and the ``budget`` part change digest and
-the case fails, while its ``pred`` and ``lml`` parts hold.  Every other
-case passes at either thread count.
+carries the budget in ``afit``) and the ``budget`` part change digest, while
+its ``pred`` and ``lml`` parts hold.  That case therefore has a second
+digest, taken at one BLAS thread, which the test expects when
+``OPENBLAS_NUM_THREADS`` is ``1`` (the setting of the repository benchmark).
+Every other case has one digest and passes at either thread count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -212,6 +215,18 @@ GOLDEN = {
 }
 
 
+#: Digests that differ under ``OPENBLAS_NUM_THREADS=1`` (see the module docstring).
+GOLDEN_ONE_BLAS_THREAD = {
+    "nystrom": "d86c2fb6b9d3be699f13158f41cd00211f5993d72aa9b0c05a29a7bcdfed0097",
+}
+
+
+def _expected(name: str) -> str:
+    if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+        return GOLDEN_ONE_BLAS_THREAD.get(name, GOLDEN[name])
+    return GOLDEN[name]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_gp_golden(name):
-    assert _digest(CASES[name]()) == GOLDEN[name]
+    assert _digest(CASES[name]()) == _expected(name)
