@@ -45,11 +45,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .. import telemetry as tm
 from .incremental import NotPositiveDefiniteError, cholesky_append
-from .kernels import SquaredExponential, kernel_from_dict, kernel_to_dict, se_covariance
+from .kernels import SquaredExponential, kernel_from_dict, kernel_to_dict
 from .optimize import OptimizeOutcome, minimize_with_restarts
 from .solvers import (
     ApproxFitState,
@@ -96,6 +97,22 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
+def _squared_distances(X: np.ndarray, per_dimension: bool) -> np.ndarray:
+    """Unscaled pairwise squared distances between the rows of ``X``.
+
+    Shape ``(d, n, n)`` with ``per_dimension``: one slice ``(x_k - x'_k)^2``
+    per feature, as an ARD kernel needs.  Otherwise ``(1, n, n)``: the
+    slices summed feature by feature.  Each entry is computed from
+    ``x - x'`` and its negation alike, so every slice is exactly symmetric.
+    """
+    if per_dimension:
+        return np.square(X.T[:, :, np.newaxis] - X.T[:, np.newaxis, :])
+    sq = np.square(X[:, np.newaxis, 0] - X[np.newaxis, :, 0])
+    for k in range(1, X.shape[1]):
+        sq += np.square(X[:, np.newaxis, k] - X[np.newaxis, :, k])
+    return sq[np.newaxis]
+
+
 class _FitObjective:
     """Per-fit workspace for the log marginal likelihood (Eqs. 12-13).
 
@@ -106,15 +123,23 @@ class _FitObjective:
     :meth:`GaussianProcessRegressor.log_marginal_likelihood` validates its
     arguments and evaluates through the same :meth:`evaluate`.
 
-    Per call it reads ``sigma_f^2``, ``l`` and ``sigma_n^2`` off ``theta``
-    (each slice exponentiated as :attr:`SquaredExponential.theta` does),
-    builds ``K`` and its gradient with :func:`~repro.gp.kernels.se_covariance`
-    and factors ``K_y`` with LAPACK's ``potrf``/``potrs``, the routines
-    ``scipy.linalg.cholesky``/``cho_solve`` wrap: Rasmussen & Williams
-    Alg. 2.1 plus the gradient of Eq. (5.9).  Its arrays are read-only and
-    every call works on its own temporaries, so the objective is stateless:
-    safe to invoke concurrently from restart threads and cheap to pickle to
-    restart processes (see ``minimize_with_restarts(..., executor=)``).
+    The workspace holds the unscaled squared distances between the training
+    rows (:func:`_squared_distances`: one slice, or one per feature for an
+    ARD kernel).  Each call scales them by ``1 / l^2`` and sums them into
+    ``S``,
+    builds ``K = sigma_f^2 exp(-S / 2)``, factors ``K_y`` with LAPACK's
+    ``potrf`` and solves for the weights ``w = K_y^{-1} y`` with ``potrs``
+    (Rasmussen & Williams Alg. 2.1).  The gradient is R&W Eq. (5.9) in
+    closed form, with one triangle of ``K_y^{-1}``:
+
+    - ``d/d log sigma_f^2 = (w^T K w - tr(K_y^{-1} K)) / 2``;
+    - ``d/d log l_k = (w^T (K o S_k) w - tr(K_y^{-1} (K o S_k))) / 2``;
+    - ``d/d log sigma_n^2 = sigma_n^2 (w^T w - tr K_y^{-1}) / 2``.
+
+    Its arrays are read-only and every call works on its own temporaries,
+    so the objective is stateless: safe to invoke concurrently from restart
+    threads and cheap to pickle to restart processes (the distances are
+    rebuilt on load; see ``minimize_with_restarts(..., executor=)``).
     """
 
     __slots__ = (
@@ -129,7 +154,7 @@ class _FitObjective:
         "X",
         "y",
         "alpha",
-        "identity",
+        "sq_dist",
     )
 
     def __init__(self, model: "GaussianProcessRegressor", X, y, alpha=None):
@@ -147,18 +172,23 @@ class _FitObjective:
         self.X = _read_only(X)
         self.y = _read_only(y)
         self.alpha = None if alpha is None else _read_only(alpha)  # units of y
-        self.identity = _read_only(np.eye(X.shape[0]))
+        self._build_distances()
+
+    def _build_distances(self) -> None:
+        # An ARD length scale is an array; an isotropic one a float.
+        ard = np.ndim(self.length_scale) > 0
+        self.sq_dist = _read_only(_squared_distances(self.X, ard))
 
     def __getstate__(self) -> dict:
-        # The identity is rebuilt on load rather than shipped to processes.
-        return {n: getattr(self, n) for n in self.__slots__ if n != "identity"}
+        # The distances are rebuilt on load rather than shipped to processes.
+        return {n: getattr(self, n) for n in self.__slots__ if n != "sq_dist"}
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             if isinstance(value, np.ndarray):
                 value = _read_only(value)
             setattr(self, name, value)
-        self.identity = _read_only(np.eye(self.X.shape[0]))
+        self._build_distances()
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         lml, grad = self.evaluate(*self.hyperparameters(theta), eval_gradient=True)
@@ -173,7 +203,7 @@ class _FitObjective:
             c = float(np.exp(theta[0:1])[0])
             idx = 1
         if self.free_length_scale:
-            size = np.size(ls)
+            size = len(self.sq_dist)
             chunk = np.exp(theta[idx : idx + size])
             ls = float(chunk[0]) if size == 1 else chunk
             idx += size
@@ -187,40 +217,61 @@ class _FitObjective:
         A ``K_y`` that is not positive definite gives ``-inf`` (and a zero
         gradient) and counts ``gp.lml.cholesky_failure``.
         """
-        K = se_covariance(
-            self.X,
-            signal_variance,
-            length_scale,
-            eval_gradient=eval_gradient,
-            free_amplitude=self.free_amplitude,
-            free_length_scale=self.free_length_scale,
+        slices = self.sq_dist
+        inv_sq = 1.0 / np.square(np.atleast_1d(length_scale))
+        S = slices[0] * inv_sq[0]
+        for k in range(1, len(slices)):
+            S += slices[k] * inv_sq[k]
+        K = S * -0.5
+        np.exp(K, out=K)
+        K *= signal_variance
+        K_y = add_noise_diagonal(
+            K.copy() if eval_gradient else K, noise_variance, self.jitter, self.alpha
         )
-        if eval_gradient:
-            K, K_grad = K
-        add_noise_diagonal(K, noise_variance, self.jitter, self.alpha)
-        # K is exactly symmetric, so K.T is the same matrix in the column-major
-        # layout LAPACK factors in place.
-        L, info = dpotrf(K.T, lower=1, clean=1, overwrite_a=1)
+        # K_y is exactly symmetric, so K_y.T is the same matrix in the
+        # column-major layout LAPACK factors in place.
+        L, info = dpotrf(K_y.T, lower=1, clean=1, overwrite_a=1)
         if info > 0:
             tm.count("gp.lml.cholesky_failure")
             if eval_gradient:
                 return -np.inf, np.zeros(self.n_theta)
             return -np.inf
-        weights = dpotrs(L, self.y, lower=1)[0]
-        lml = GaussianProcessRegressor._lml_from_cholesky(L, weights, self.y)
+        w = dpotrs(L, self.y, lower=1)[0]
+        lml = GaussianProcessRegressor._lml_from_cholesky(L, w, self.y)
         if not eval_gradient:
             return lml
-        # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^{-1}) dK/dtheta_j)
-        K_inv = dpotrs(L, self.identity, lower=1)[0]
-        inner = np.outer(weights, weights) - K_inv
+        # K_y^{-1} = L^{-T} L^{-1}, by LAPACK potri's two steps: trtri, then
+        # the product's lower triangle (syrk, where potri calls lauum); the
+        # upper one stays zero.  Against a symmetric M, the sum of K_inv o M
+        # is then the lower triangle's, and tr(K_y^{-1} M) = 2 lower - diag.
+        # OpenBLAS's lauum takes another path, with other last bits, when it
+        # may use more than one thread; trtri and syrk give the same bits at
+        # 1 to 8 threads (checked to n = 80).
+        L_inv = dtrtri(L, lower=1, overwrite_c=1)[0]
+        K_inv = dsyrk(1.0, L_inv, trans=1, lower=1).T  # C-ordered view
+        tr_inv = K_inv.trace()
         grads = np.empty(self.n_theta)
-        kernel_grads = grads[: K_grad.shape[2]]
-        np.einsum("ij,ijk->k", inner, K_grad, out=kernel_grads)
-        kernel_grads *= 0.5
+        idx = 0
+        if self.free_amplitude:
+            # diag(K) is sigma_f^2 throughout.
+            tr = 2.0 * _sum_product(K_inv, K) - signal_variance * tr_inv
+            grads[0] = 0.5 * (w @ (K @ w) - tr)
+            idx = 1
+        if self.free_length_scale:
+            for k in range(len(slices)):
+                if len(slices) > 1:
+                    np.multiply(slices[k], inv_sq[k], out=S)
+                S *= K  # K o S_k, whose diagonal is zero
+                grads[idx + k] = 0.5 * (w @ (S @ w) - 2.0 * _sum_product(K_inv, S))
         if self.learn_noise:
-            # dK/d(log sigma_n^2) = sigma_n^2 * I
-            grads[-1] = 0.5 * noise_variance * np.trace(inner)
+            # dK_y/d(log sigma_n^2) = sigma_n^2 * I
+            grads[-1] = 0.5 * noise_variance * (w @ w - tr_inv)
         return lml, grads
+
+
+def _sum_product(A: np.ndarray, B: np.ndarray) -> float:
+    """``sum(A * B)`` over two C-ordered matrices, in numpy's own fixed order."""
+    return np.einsum("ij,ij->", A, B)
 
 
 @dataclass

@@ -14,13 +14,22 @@ checkpoint codec (:mod:`repro.al.session`):
   (``replicate-0000.result.json``) and whose replicate 1 was killed
   mid-campaign (``replicate-0001.json``).
 
-``DIGESTS`` holds the SHA-256 of each *uninterrupted* run's result, taken
+``DIGESTS`` held the SHA-256 of each *uninterrupted* run's result, taken
 with that same older code.  Each test resumes a copy of its fixture with
-the current code and compares.  ``test_codec_rejects`` then alters the
-same documents, plus an :class:`ActiveLearner` checkpoint the test writes
-itself (no older learner format exists), by version, each stored config
-key and truncation, and checks the error every loop raises.  Regenerate fixtures and digests together
-(only for a deliberate format change, and say so in the change log) with::
+the current code and compares.  When the LML objective moved to the
+closed-form gradient, the fitted hyperparameters moved in their last bits,
+and the four digests of fitted runs were re-taken from the resumed results.
+For the two campaigns they equal the uninterrupted run at the current code;
+for ``sharded`` and ``multifidelity`` the round records written before the
+kill keep the older code's last bits, so only those floats differ from a
+fresh run.  Every fixture still resumes and replays its selections.
+
+``test_codec_rejects`` then alters the same documents, plus an
+:class:`ActiveLearner` checkpoint the test writes itself (no older learner
+format exists), by version, each stored config key and truncation, and
+checks the error every loop raises.  Regenerate fixtures and digests
+together (only for a deliberate format change, and say so in the change
+log) with::
 
     PYTHONPATH=src python tests/al/test_checkpoint_compat.py
 """
@@ -57,10 +66,10 @@ GRID = np.array(
 )
 
 DIGESTS = {
-    "campaign.json": "e34a2aec94b833394031227290238a3bc18ea1dd00836ccb31c9661408cf4d41",
-    "campaign-fast.json": "07db56574464b8bcf4cc380e665f49a511f0e920f8ee5d8035167528fdf3f6fd",
-    "sharded": "60f0764f494b894afac3fa9ff71eed73792145e0a113682d8edfe389db9a0de4",
-    "multifidelity.json": "f1797942bbe4e7242af20b53980a3c0ee8d483cdd720b9e25635a3bc10887b83",
+    "campaign.json": "f77c618e93750ac5e51948d7fc8568e69f59e7dd462e08e190b6ab411763ed81",
+    "campaign-fast.json": "1ed3b044b5b7a54ea805f8588395ef586b0edfa8fa2d8d5d0f16fd454b3b6ece",
+    "sharded": "3cbdbdb0cc78086336e4671eae195b68f78ee10ed6d295b1e858ee59555f3ddf",
+    "multifidelity.json": "633fb3d3755a9f69a25d19b30455bd9dfebb7b29ef3976105016529928b0b444",
     "replicates": "40805d4aa49cd19465905ade3b9d35289be56647b4d496982cd7a6297f75db08",
 }
 

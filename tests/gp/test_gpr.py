@@ -179,7 +179,7 @@ def test_fit_objective_is_thread_safe_and_picklable(small_1d_problem):
         assert value == value_s and np.array_equal(grad, grad_s)
 
     for obj in (objective, copy):
-        for name in ("X", "y", "alpha", "identity"):
+        for name in ("X", "y", "alpha", "sq_dist"):
             array = getattr(obj, name)
             assert not array.flags.writeable, name
             with pytest.raises(ValueError):

@@ -11,10 +11,13 @@ same inputs.  The cases cover the isotropic and ARD kernels with each of
 ``alpha``, ``normalize_y`` on targets of scale 1e6 with duplicate rows,
 ``theta`` pinned at its bounds, and a ``theta`` whose Cholesky fails.
 
-The digests were taken before the objective became a per-fit workspace that
-validates once and calls LAPACK directly; they pin that it kept every
-floating-point operation in order.  Regenerate them only for a deliberate
-numerical change, and say so in the change log.
+The digests were re-taken when the objective moved to a per-fit distance
+workspace and the closed-form gradient, with ``K_y^{-1}`` from ``trtri``
+and ``syrk``; that change moved every case in its last bits, within the
+declared relation of ``tests/gp/test_objective_relation.py``.  They pin the
+objective's floating-point operations from there on, and hold at one and
+at several BLAS threads.  Regenerate them only for a deliberate numerical
+change, and say so in the change log.
 """
 
 from __future__ import annotations
@@ -166,56 +169,56 @@ CASES.update(
 
 GOLDEN = {
     "ard_amp_fixed_ls_fixed": {
-        "objective": "9ae6592f32916a413e03810e216af4f85e2165f7b1133cb2ec16952933538685",
-        "lml": "aafc0ffcbd42eb5cf8b6c67499a502f44bcd85753bb95d32626343b544005b99",
+        "objective": "b9d0057ef731db223c614189cb512186c9c6aa1208aeef3d6fe4a8e89c908426",
+        "lml": "7e8376085a4507412786b48a5abaf7af9abd47e7d137454cf9d96713d738957c",
     },
     "ard_amp_fixed_ls_free": {
-        "objective": "ff0c1efe533a73c261074196e940a084bcd5388468966edf502a22f3d961c453",
-        "lml": "8442ece314026e54c5b3d76d41aa502dbf2b75999abbcb3e50ee68a4aa7b11fb",
+        "objective": "6881cd5d93ca1a2dc6c66b1a2cad28d3f50411cf24794047cadaecb1401fab36",
+        "lml": "e82f7945e616e86c0dd7dc454bd4f643b72678e77329a40d6a1bd2eac9204615",
     },
     "ard_amp_free_ls_fixed": {
-        "objective": "ae53e6a27730e2037d5f79aa0f15d6234adba8eb686af599613b5dd4da41599b",
-        "lml": "7dc3220af289fcf527c4fb8988a02aa6c400b09fd6c9c5b89ecaeddd48fc185c",
+        "objective": "bcbc5c067d420e3653ccc5ddbeda6a55e9ec42d3432347caf07b694e038879ce",
+        "lml": "ba681276a8ca77ef5a7aa504d59c31d5d85692e89c49d5110bd0038886db6ec0",
     },
     "ard_amp_free_ls_free": {
-        "objective": "17deb751caaa848f963b0d51026afffe9f020bb2a0877063afc29dbb4241d2c1",
-        "lml": "c29168d25045b09111ebd5ad1be1c29415e027c4d02c44f15c24e5a47ca6bca6",
+        "objective": "449ebd0b7c6001c63945b3c9d7a80ad19de841689c91017592293d86c4b30cda",
+        "lml": "99c048cc81882f6d30ab79ac49090873790d3d8eeb3ab953e1bce42e2f796c9f",
     },
     "cholesky_failure": {
-        "objective": "b20e0a2848f1f92a3e546b2ab4fd49ec4ec4b9fff6a4417adc5b6253c887d9d9",
-        "lml": "7d588782d89eb375392b474bf5936a80605c02548c33c02b8e665801008aecf4",
+        "objective": "510f3da17b93e3c2feeb7f9c1848ca38da679afcbbd382f7fa41c2a9bed3e137",
+        "lml": "34a075e52586e6bab21e8f93075384ecf931069206f7a66920b22545537c6b2e",
     },
     "fixed_noise": {
-        "objective": "d8cb4baff1b85bf4280b82abff16e5a7bd702759161ad16d3348a86b0f77c183",
-        "lml": "61debed0077c12e2b724af2631d950f5c9e5c7ca4167058d401b37a75bfc7a77",
+        "objective": "52f408c13c947fc3795e4b0457f6484806f93e11ada16687add82e9bc6fc0975",
+        "lml": "06d616797991bceef1ab9fcd7350d3c2fd839d5d4d11f2fdbe007036eeb139d6",
     },
     "heteroscedastic": {
-        "objective": "a5d1f421011953e0599bd77cd22edbc7e59bfc962e8ca4fb92bc809e932b7e83",
-        "lml": "0e170925c2b952ffc6614911a7014d61dad18a535cbc915095364647a82a6c89",
+        "objective": "372d8b1cce729e19305294fbb9069149bb35c6fb9f369bf8b0f20aa987c1c49b",
+        "lml": "c390796ea6925bf74255981e22e0172fae88afc458ee922129e5943cd44625a7",
     },
     "iso_amp_fixed_ls_fixed": {
-        "objective": "560413d6f209a6640ab48955881e8a556a23ecb0426ebcb07e0b3daa662d0f28",
-        "lml": "a2512fc9b842123fbccde3a5f196fcc3e74be3070b36a12f50c9a21cc513427c",
+        "objective": "40554559e5df48aa84a3462ddbb0329b5055dbb252a6ba47ac766234dd2dabf8",
+        "lml": "fc6c1f66c1d26da4ef8f22ce94754dc15c3ecd317058175f81cafdc2af453050",
     },
     "iso_amp_fixed_ls_free": {
-        "objective": "f17416724fff3d619542114b5ea35fbc76f251e355863fc258303cdc05b60666",
-        "lml": "08d289667574cf0d40da2f8f91121d6815f8163d26778426106751a60a583180",
+        "objective": "d5651a90dad8dd096fc3d221826d59f2a9e21ce1e4157f4d46703818414b35c6",
+        "lml": "0b36e2d6eb668b34354efe18b59624c506432c690448d120aef24d4f05f54613",
     },
     "iso_amp_free_ls_fixed": {
-        "objective": "92e64001281a91e1f852f726360779a57134776ff117e26996f35519974b2855",
-        "lml": "079a351e9634a50e177117893068a15bad173a16be1e0516d55db1a78b1de594",
+        "objective": "4f382ff60e1bbc003d442e1ce817729a56d4bb990b76bf510b96eb17ddd4814f",
+        "lml": "acc99058ce9697de8571919ac79d30b97e8ebce8891ee0f1f6f15cebc1eda195",
     },
     "iso_amp_free_ls_free": {
-        "objective": "f48a0ad7a71b513fc242d08e30b4c743524799a04b4e0aa38f9f4e948d151614",
-        "lml": "6bd54abd0b1458d3887688dab8e9bc664ba31abed49647bb8995d545375cff3d",
+        "objective": "e4eb04182222c691b6afbaa420f48f8feab4ef00f4706f3fb08e019d11fa1951",
+        "lml": "6f28e1b4897596566212f01e9f1e26e469a0a11bddeb1a15871816e05595b28d",
     },
     "normalize_y_1e6_duplicates": {
-        "objective": "742fa65f0f2283a0336b62349a071dbcfe9a402e3965b5cfdb70cde8a7ae4ddb",
-        "lml": "d7abf286b787de03e78d27995207507c678f03a0ff9c70ea5efb4b870938968d",
+        "objective": "4481d6b7491a58df39cdba7850f9b300489ca11430ba192cd4f51d78046ed35f",
+        "lml": "9bba20b16dfa4469d6289da00c3a675a285c673693a89ab660327197d06b5770",
     },
     "pinned_at_bounds": {
-        "objective": "1129f1c2a01cf0666a5a9c0893b8b97f1cff4d42a64bac027b151e29599a90e3",
-        "lml": "7f1cfc901c9a578b66c5c095f9a52c0343d060fdd5db48764ad1f55754a77e54",
+        "objective": "379ab97bcd3a2312ee5b9a566101d5ae6343053c06d15eca0569090197b015af",
+        "lml": "b592d59f9aeaaaaff2824c183b1532f054645075a04d00272d4d0c366b99eb21",
     },
 }
 
